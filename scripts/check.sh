@@ -39,7 +39,8 @@
 # (DESIGN.md section 10): the scheduler/router test binaries, the
 # max-batch>32 wave-split regression (no abort, replay byte-identical to a
 # capped run), a shards x faults matrix with a double-run replay-determinism
-# diff and a no-request-lost completeness check, and the fleet-scaling gate
+# diff and a no-request-lost completeness check, a replay diff of the single
+# engine (--window=0) against a one-shard fleet, and the fleet-scaling gate
 # in bench_serve_throughput.
 #
 # --async builds normally and then exercises the stream dispatcher
@@ -318,6 +319,27 @@ if [[ "$SHARD" == "1" ]]; then
       fi
       echo "-- $label: replays identical, all $REQS requests completed"
     done
+  done
+
+  echo "== single engine = one-shard fleet =="
+  # The single engine is the fleet loop at one shard; with its batch window
+  # closed its replay must match --shards=1 byte for byte, faults included.
+  for spec in "none" "lost=0.01"; do
+    args=(--dataset=rmat --scale=0.1 --requests="$REQS" --mean-arrival=0.1
+          --queue-cap="$REQS")
+    if [[ "$spec" != "none" ]]; then
+      args+=(--faults="seed=3,$spec")
+    fi
+    safe="one_shard_${spec//[^a-zA-Z0-9]/_}"
+    "$BUILD_DIR/src/etagraph_serve" "${args[@]}" --window=0 \
+      --replay-out="$SHARD_DIR/$safe.single.txt" > /dev/null
+    "$BUILD_DIR/src/etagraph_serve" "${args[@]}" --shards=1 \
+      --replay-out="$SHARD_DIR/$safe.fleet.txt" > /dev/null
+    if ! diff -u "$SHARD_DIR/$safe.single.txt" "$SHARD_DIR/$safe.fleet.txt"; then
+      echo "check.sh: --window=0 replay diverged from --shards=1 (faults=$spec)" >&2
+      exit 1
+    fi
+    echo "-- faults=$spec: single engine replay identical to one shard"
   done
 
   echo "== fleet-scaling contract =="

@@ -1,24 +1,29 @@
-// ServeEngine — deterministic discrete-event replay of a query trace.
+// ServeEngine — deterministic discrete-event replay of a query trace
+// against one graph.
 //
-// The engine owns the serve clock. It admits requests as the clock reaches
-// their arrival times (rejecting on queue overflow), sweeps out requests
-// whose queueing deadline has passed, and dispatches the rest in
-// priority/FIFO order. In kSessionBatched mode a dispatch may hold a
-// forming batch open for up to batch_window_ms (never past the head
-// request's start deadline) to fold in compatible arrivals; the folded
-// batch runs as one attributed multi-source launch. Execution durations
-// come from the simulated device (RunReport::query_ms, or total_ms for the
-// naive rebuild-per-query mode), so the whole replay is deterministic:
-// identical trace + options produce an identical ServeReport.
+// The single engine is the serving layer's one event loop (router.cpp,
+// DESIGN.md section 10) run as a one-shard fleet over a one-graph catalog.
+// It admits requests as the clock reaches their arrival times (rejecting
+// on queue overflow), sweeps out requests whose queueing deadline has
+// passed, and dispatches the rest in priority/FIFO order. It is the only
+// entry point that honours ServeOptions::batch_window_ms: in
+// kSessionBatched mode a dispatch holds its forming batch open until
+// min(open + batch_window_ms, head start deadline); every arrival at or
+// before that end advances the clock to its arrival, is admitted, sweeps
+// deadlines and folds when compatible, until the batch reaches
+// min(max_batch, kMaxAttributedSources). The folded batch runs as one
+// attributed multi-source launch. kNaivePerQuery stages a fresh session
+// per dispatch, folds nothing, and retires it afterwards.
 //
-// Fault tolerance (DESIGN.md section 8): when ServeOptions::graph.faults
-// injects device faults, a dispatch can come back with unserved requests.
-// The engine quarantines an unhealthy session (device lost or staging
-// failed), rebuilds it up to max_session_rebuilds times — charging each
-// re-staging to the serve clock — and retries the leftover batch on the
-// fresh device. Requests the device path still cannot answer are served by
-// the host CPU reference at a deterministic degraded cost and finish with
-// QueryStatus::kDegraded: correct answers, honest latency, no crash.
+// Everything else is the fleet's: memo, overload control (SLO admission,
+// shed and brownout ladders, retry budget, breaker), and fault tolerance
+// (DESIGN.md section 8) — an unhealthy session is quarantined (its queue
+// drained and re-admitted at the fault time), rebuilt up to
+// max_session_rebuilds times, and requests the device path cannot answer
+// are served by the CPU reference as QueryStatus::kDegraded; a spent
+// rebuild budget makes the shard dead and sends later requests to the
+// fleet-wide CPU timeline. With batch_window_ms = 0 the report is
+// byte-identical to ShardedEngine with one shard.
 #pragma once
 
 #include <vector>

@@ -102,8 +102,7 @@ void FinalizeOverloadReport(const OverloadOptions& options, const core::RetryBud
     o.rebuild_denied = b.rebuilds_denied;
   }
 
-  // Per-class accounting from the per-request outcomes (works identically
-  // for the single engine and the sharded fleet).
+  // Per-class accounting from the per-request outcomes.
   constexpr size_t kClasses = 4;  // indexed by SloClass
   struct Acc {
     SloStat stat;

@@ -39,9 +39,8 @@ struct CostObservation {
   double mean_cycles = 0;        // device cycles attributed per query
 };
 
-/// Per-shard accounting of a sharded-fleet replay (serve::ShardedEngine).
-/// Empty in single-engine reports; rendered only when present, so legacy
-/// report output is byte-identical with or without the fleet layer built.
+/// Per-shard accounting of a replay: one row per shard, so a single-engine
+/// (one-shard) report has exactly one.
 struct ShardStat {
   uint32_t shard = 0;
   uint64_t dispatches = 0;  // batches this shard executed
@@ -205,7 +204,7 @@ struct ServeReport {
   /// Per-algo estimated-vs-actual cost aggregates, algo name order.
   std::vector<CostObservation> cost_observations;
 
-  /// Per-shard accounting, shard index order; empty outside ShardedEngine.
+  /// Per-shard accounting, shard index order.
   std::vector<ShardStat> shard_stats;
 
   /// Per-SLO-class accounting, class order (bronze, silver, gold); empty on

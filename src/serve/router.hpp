@@ -1,8 +1,9 @@
 // ShardedEngine — a fleet of GraphSessions behind one admission front.
 //
-// The sharded fleet is the serving-layer step past the single-session
-// ServeEngine: N shards, each owning one simulated device, replayed under
-// one deterministic discrete-event loop. Three policies live here:
+// N shards, each owning one simulated device, replayed under one
+// deterministic discrete-event loop. That loop (router.cpp) is the serving
+// layer's only one: ServeEngine runs it at one shard over a one-graph
+// catalog with its batch window. Three policies live here:
 //
 //   Load-aware routing.  An arriving request goes to the live shard with
 //   the lowest estimated backlog: the time until the shard is next free
@@ -34,10 +35,11 @@
 // the event order are all derived from the simulated clock and shard
 // index, never from host time or iteration order of unordered containers;
 // two identically-configured runs render byte-identical reports and
-// replay files. Unlike the single engine, a sharded dispatch folds only
-// already-queued compatible requests (no batch-window hold): the time a
-// shard spends busy is the natural window in which its queue accumulates,
-// and holding N independent windows open would couple the shards' clocks.
+// replay files. A ShardedEngine dispatch folds only already-queued
+// compatible requests, up to min(max_batch, kMaxAttributedSources): the
+// time a shard spends busy is the natural window in which its queue
+// accumulates, and holding N independent windows open would couple the
+// shards' clocks. Only ServeEngine (one shard) holds a batch window.
 //
 // Async dispatch (ShardedOptions::async_dispatch, DESIGN.md section 11):
 // each shard owns a sim::StreamScheduler modelling one compute engine plus
@@ -75,8 +77,8 @@ namespace eta::serve {
 
 struct ShardedOptions {
   /// Per-shard serving knobs (mode, queue capacity, max_batch, rebuild
-  /// budget, CPU fallback throughput, graph/device options). The mode must
-  /// be session-based; kNaivePerQuery has no session to shard.
+  /// budget, CPU fallback throughput, graph/device options). Under
+  /// kNaivePerQuery each dispatch stages a fresh session and retires it.
   /// batch_window_ms is ignored (see the determinism contract above).
   ServeOptions base{};
   uint32_t shards = 2;

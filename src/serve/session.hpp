@@ -87,6 +87,10 @@ class GraphSession {
   /// queries are servable). The CSR must outlive the session.
   explicit GraphSession(const graph::Csr& csr, core::EtaGraphOptions options = {})
       : resident_(csr, options) {}
+  /// Stages `csr`, shipping the weight array only when `stage_weights` —
+  /// the naive per-query device stages just what its one query reads.
+  GraphSession(const graph::Csr& csr, core::EtaGraphOptions options, bool stage_weights)
+      : resident_(csr, options, stage_weights) {}
 
   /// False if device allocation failed; no queries can be served then.
   bool Loaded() const { return !resident_.Oom(); }

@@ -60,6 +60,17 @@ double SloTargetMs(const OverloadOptions& options, SloClass slo) {
   return kNoDeadline;
 }
 
+QueryResult OutcomeOf(const Request& r, QueryStatus status) {
+  QueryResult q;
+  q.id = r.id;
+  q.status = status;
+  q.algo = r.algo;
+  q.source = r.source;
+  q.arrival_ms = r.arrival_ms;
+  q.slo = r.slo;
+  return q;
+}
+
 const char* ServeModeName(ServeMode mode) {
   switch (mode) {
     case ServeMode::kNaivePerQuery: return "naive";

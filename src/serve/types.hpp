@@ -103,6 +103,8 @@ struct QueryResult {
   double QueueMs() const { return start_ms - arrival_ms; }
   double LatencyMs() const { return finish_ms - arrival_ms; }
 };
+/// The result answering `r` with `status`; timings and answer left zero.
+QueryResult OutcomeOf(const Request& r, QueryStatus status);
 
 enum class ServeMode : uint8_t {
   /// One fresh device per query: allocate, stage the topology, run, tear
@@ -126,7 +128,7 @@ struct OverloadOptions {
   double gold_slo_ms = 50.0;
   double silver_slo_ms = 200.0;
   double bronze_slo_ms = 1000.0;
-  /// Master switch for SLO-aware admission on the sharded router: predictive
+  /// Master switch for SLO-aware admission in the serve loop: predictive
   /// shed-early (queue-wait + service estimate vs the class target) plus the
   /// class-ordered fallbacks when every queue is full. Classless requests are
   /// unaffected even when set.
@@ -166,6 +168,7 @@ struct ServeOptions {
   /// Bounded admission queue; arrivals that find it full are rejected.
   size_t queue_capacity = 64;
   /// How long a forming batch stays open for further compatible arrivals.
+  /// Honoured by ServeEngine only; a sharded fleet folds what is queued.
   double batch_window_ms = 2.0;
   /// Requests folded into one multi-source launch, at most
   /// core::ResidentGraph::kMaxAttributedSources.

@@ -251,7 +251,7 @@ TEST(TraceExport, ServeReplayMergesQueueBatcherAndDeviceSpans) {
   bool has_device_kernel = false;
   for (const prof::TraceSpan& s : report.trace_spans) {
     if (s.track.rfind("serve/", 0) == 0) has_serve = true;
-    if (s.track == "device/kernels") has_device_kernel = true;
+    if (s.track == "shard0/kernels") has_device_kernel = true;
     EXPECT_GE(s.end_ms, s.start_ms);
     EXPECT_GE(s.start_ms, 0.0);
   }

@@ -15,6 +15,8 @@
 #include "serve/router.hpp"
 #include "serve/session.hpp"
 #include "serve/trace.hpp"
+#include "serve/trace_file.hpp"
+#include "sim/fault.hpp"
 
 namespace eta::serve {
 namespace {
@@ -88,11 +90,74 @@ TEST(ShardedEngine, MatchesSingleEngineAnswers) {
         << "request " << fleet.results[i].id;
   }
   EXPECT_EQ(fleet.shard_stats.size(), 2u);
-  // Single-engine reports carry no shard table (legacy byte-stability).
-  EXPECT_TRUE(single.shard_stats.empty());
-  EXPECT_EQ(single.Json().find("\"shards\""), std::string::npos);
+  // The single engine is a one-shard fleet: exactly one shard row.
+  ASSERT_EQ(single.shard_stats.size(), 1u);
+  EXPECT_EQ(single.shard_stats[0].shard, 0u);
+  EXPECT_NE(single.Json().find("\"shards\":[{\"shard\":0,"), std::string::npos);
+  EXPECT_EQ(single.Json().find("{\"shard\":1,"), std::string::npos);
   EXPECT_NE(fleet.Json().find("\"shards\""), std::string::npos);
 }
+
+// The single engine is a one-shard fleet over a one-graph catalog: with its
+// batch window closed it renders byte-identically to ShardedEngine at one
+// shard, in every mode and under faults.
+struct OneShardCase {
+  const char* name;
+  ServeMode mode;
+  const char* faults;  // sim::FaultConfig spec; "" = none
+};
+
+class OneShardEquivalence : public ::testing::TestWithParam<OneShardCase> {};
+
+TEST_P(OneShardEquivalence, SingleEngineEqualsOneShardFleet) {
+  graph::Csr csr = RandomGraph(25);
+  TraceOptions trace_options;
+  trace_options.num_requests = 40;
+  trace_options.mean_interarrival_ms = 0.1;
+  trace_options.seed = 4;
+  const std::vector<Request> trace = GenerateTrace(csr.NumVertices(), trace_options);
+
+  ServeOptions base;
+  base.mode = GetParam().mode;
+  base.queue_capacity = 64;
+  base.batch_window_ms = 0;
+  if (GetParam().faults[0] != '\0') {
+    std::string error;
+    auto faults = sim::FaultConfig::Parse(GetParam().faults, &error);
+    ASSERT_TRUE(faults.has_value()) << error;
+    base.graph.faults = *faults;
+  }
+  ShardedOptions options;
+  options.base = base;
+  options.shards = 1;
+  const ServeReport single = ServeEngine(base).Serve(csr, trace);
+  const ServeReport fleet = ShardedEngine(options).Serve(csr, trace);
+
+  EXPECT_EQ(single.completed, trace.size());
+  EXPECT_EQ(RenderReplayText(single.results), RenderReplayText(fleet.results));
+  EXPECT_EQ(single.Render("replay"), fleet.Render("replay"));
+  EXPECT_EQ(single.Json(), fleet.Json());
+  EXPECT_EQ(single.metrics.RenderPrometheus(), fleet.metrics.RenderPrometheus());
+}
+
+constexpr const char* kMixedFaults =
+    "seed=3,uecc=0.03,hang=0.02,lost=0.002,alloc=0.05,watchdog=5";
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndFaults, OneShardEquivalence,
+    ::testing::Values(OneShardCase{"session", ServeMode::kSession, ""},
+                      OneShardCase{"session_lost", ServeMode::kSession, "seed=3,lost=0.01"},
+                      OneShardCase{"session_mixed", ServeMode::kSession, kMixedFaults},
+                      OneShardCase{"batched", ServeMode::kSessionBatched, ""},
+                      OneShardCase{"batched_lost", ServeMode::kSessionBatched,
+                                   "seed=3,lost=0.01"},
+                      OneShardCase{"batched_mixed", ServeMode::kSessionBatched, kMixedFaults},
+                      OneShardCase{"naive", ServeMode::kNaivePerQuery, ""},
+                      OneShardCase{"naive_lost", ServeMode::kNaivePerQuery, "seed=3,lost=0.01"},
+                      OneShardCase{"naive_mixed", ServeMode::kNaivePerQuery, kMixedFaults}),
+    [](const ::testing::TestParamInfo<OneShardCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 // --- Determinism --------------------------------------------------------------
 

@@ -472,6 +472,66 @@ TEST(ServeEngine, BatchedResultsMatchSequentialSession) {
   }
 }
 
+// The batch-window hold rule: the window opens when the head is popped and
+// ends at min(open + batch_window_ms, head start deadline). Every arrival at
+// or before the window end advances the clock to its arrival time and is
+// folded when compatible; the dispatch happens at the last such arrival.
+TEST(ServeEngine, BatchWindowFoldsAndAdvancesOnlyInsideTheWindow) {
+  graph::Csr csr = RandomGraph(23);
+  const std::vector<Request> trace = {
+      // Head: opens the window at 1.0, which ends at 3.0.
+      {.id = 0, .algo = core::Algo::kBfs, .source = 3, .arrival_ms = 1.0},
+      // Compatible and inside the window: folded into the head's batch.
+      {.id = 1, .algo = core::Algo::kBfs, .source = 40, .arrival_ms = 1.5},
+      // Incompatible and inside the window: not folded, but the clock
+      // advances to its arrival, so the batch dispatches at 2.5.
+      {.id = 2, .algo = core::Algo::kSssp, .source = 7, .arrival_ms = 2.5},
+      // Compatible but after the window end: neither folded nor waited for.
+      {.id = 3, .algo = core::Algo::kBfs, .source = 90, .arrival_ms = 3.5},
+  };
+  ServeOptions options;
+  options.mode = ServeMode::kSessionBatched;
+  options.batch_window_ms = 2.0;
+  const ServeReport report = ServeEngine(options).Serve(csr, trace);
+  ASSERT_EQ(report.results.size(), trace.size());
+  for (const QueryResult& q : report.results) {
+    ASSERT_EQ(q.status, QueryStatus::kOk) << "request " << q.id;
+  }
+  const QueryResult& head = report.results[0];
+  const QueryResult& folded = report.results[1];
+  EXPECT_EQ(head.batch_size, 2u);
+  EXPECT_EQ(folded.batch_size, 2u);
+  EXPECT_DOUBLE_EQ(head.start_ms, 2.5);
+  EXPECT_DOUBLE_EQ(folded.start_ms, 2.5);
+  EXPECT_EQ(report.results[2].batch_size, 1u);
+  const QueryResult& late = report.results[3];
+  EXPECT_EQ(late.batch_size, 1u);
+  EXPECT_GE(late.start_ms, late.arrival_ms);
+}
+
+// Whole-graph memoization applies to the single engine too: repeated CC
+// requests inside the memo window are answered from the memo table.
+TEST(ServeEngine, MemoWindowAnswersRepeatedWholeGraphRequests) {
+  graph::Csr csr = RandomGraph(24);
+  std::vector<Request> trace;
+  for (uint64_t i = 0; i < 6; ++i) {
+    trace.push_back({.id = i, .algo = core::Algo::kCc, .arrival_ms = 0.5 * i});
+  }
+  ServeOptions options;
+  options.mode = ServeMode::kSession;
+  options.memo_window_ms = 1000;
+  const ServeReport memo = ServeEngine(options).Serve(csr, trace);
+  EXPECT_TRUE(memo.memo_configured);
+  EXPECT_GT(memo.memo_hits, 0u);
+  EXPECT_EQ(memo.completed, trace.size());
+  options.memo_window_ms = 0;
+  const ServeReport plain = ServeEngine(options).Serve(csr, trace);
+  EXPECT_EQ(plain.memo_hits, 0u);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(memo.results[i].reached_vertices, plain.results[i].reached_vertices);
+  }
+}
+
 TEST(ServeEngine, ExpiredDeadlinesBecomeTimeouts) {
   graph::Csr csr = RandomGraph(15);
   // All requests arrive while the graph is still loading; the impatient

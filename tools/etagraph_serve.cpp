@@ -45,7 +45,8 @@
 //                   to this path
 //   --shards        serve on a sharded fleet of N device sessions behind one
 //                   load/fault-aware admission front (DESIGN.md section 10);
-//                   0 = the single-session engine                (default 0)
+//                   0 = the single engine, a one-shard fleet that honours
+//                   --window (a fleet ignores it)               (default 0)
 //   --device-mem-budget  with --shards: per-shard resident-graph budget in
 //                   bytes, LRU-evicting past it; 0 = unlimited   (default 0)
 //   --async         with --shards: stream-based async dispatch (DESIGN.md
@@ -78,7 +79,7 @@
 //                   e.g. --arrivals=poisson:rate=2000,n=512,gold=0.25
 //                   The catalog size (--catalog) supplies the graph count;
 //                   graph 0 is hot. Incompatible with --trace.
-//   --slo-shed      with --shards: enable the SLO admission controller —
+//   --slo-shed      enable the SLO admission controller —
 //                   predictively shed classed requests that provably cannot
 //                   meet their class target (gold is never shed)
 //   --slo-targets   gold[,silver[,bronze]] class targets in ms
@@ -99,7 +100,7 @@
 //                   class the scheduler pops earliest effective deadline
 //                   (start deadline minus the running-mean service estimate,
 //                   frozen at admission) first. Off: legacy (priority, seq)
-//   --memo-window   with --shards: whole-graph memo window in simulated ms —
+//   --memo-window   whole-graph memo window in simulated ms —
 //                   identical CC/PageRank requests against the same graph
 //                   inside the window are answered from the per-shard memo
 //                   table at zero device cost (0 = off). Arrivals gain
@@ -298,24 +299,14 @@ int main(int argc, char** argv) {
   } else {
     return Fail("unknown --mode '" + mode_name + "' (naive | session | batched)");
   }
-  if (shards > 0 && options.mode == serve::ServeMode::kNaivePerQuery) {
-    return Fail("--shards requires a session mode (--mode=session or --mode=batched)");
-  }
   if (mem_budget > 0 && shards == 0) {
     return Fail("--device-mem-budget requires --shards");
   }
   if (async && shards == 0) {
     return Fail("--async requires --shards");
   }
-  // Overload control (DESIGN.md section 13). The admission controller,
-  // ladders, and breaker live in the sharded router; the retry budget also
-  // applies to the single-session engine.
-  if (shards == 0 && (slo_shed || !shed_backlog.empty() || !brownout_spec.empty() ||
-                      !breaker_spec.empty())) {
-    return Fail("--slo-shed/--shed-backlog/--brownout/--breaker require --shards");
-  }
-  if (shards == 0 && (memo_window > 0 || !autoscale_spec.empty())) {
-    return Fail("--memo-window/--autoscale require --shards");
+  if (shards == 0 && !autoscale_spec.empty()) {
+    return Fail("--autoscale requires --shards");
   }
   if (memo_window < 0) return Fail("--memo-window must be >= 0");
   serve::ShardedOptions::AutoscaleOptions autoscale{};
