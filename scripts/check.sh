@@ -16,6 +16,7 @@
 #   scripts/check.sh --verify [build-dir]
 #   scripts/check.sh --overload [build-dir]
 #   scripts/check.sh --trace [build-dir]
+#   scripts/check.sh --digest
 #
 # --sanitize builds into a second build tree (default build-asan) with
 # AddressSanitizer + UndefinedBehaviorSanitizer (-fno-sanitize-recover=all,
@@ -86,6 +87,14 @@
 # with python3 as a second parser when available), a byte-identity diff of
 # two identically-seeded profiled runs (trace + Prometheus metrics), and
 # the bench_profiler_overhead zero-cost contract.
+#
+# --digest builds perfbench (through perfbench/run.py, into its own build
+# tree) and runs each of its three workloads for one second at seed 1 with
+# --digest-out, then diffs every digest against tests/golden/. The digest
+# holds every simulated value of a workload's first cycle, so this gate
+# makes "simulated numbers byte-identical" a standing check: a host-speed
+# change must pass it unchanged, and a model change regenerates the goldens
+# (same command, writing into tests/golden/) in the same change.
 set -euo pipefail
 
 SANITIZE=0
@@ -124,6 +133,26 @@ elif [[ "${1:-}" == "--overload" ]]; then
 elif [[ "${1:-}" == "--trace" ]]; then
   TRACE=1
   shift
+elif [[ "${1:-}" == "--digest" ]]; then
+  DIGEST_DIR="$(mktemp -d)"
+  trap 'rm -rf "$DIGEST_DIR"' EXIT
+  for workload in paper-web serve-session serve-fleet; do
+    echo "== digest: $workload (seed 1) =="
+    golden="tests/golden/$workload-seed1.txt"
+    fresh="$DIGEST_DIR/$workload-seed1.txt"
+    if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --digest-out "$fresh" > /dev/null; then
+      echo "check.sh: perfbench $workload failed" >&2
+      exit 1
+    fi
+    if ! cmp -s "$golden" "$fresh"; then
+      diff -u "$golden" "$fresh" | head -40 >&2 || true
+      echo "check.sh: $workload simulated values differ from $golden" >&2
+      exit 1
+    fi
+    echo "-- $workload: digest identical"
+  done
+  exit 0
 fi
 
 if [[ "$SANITIZE" == "1" ]]; then

@@ -87,8 +87,6 @@ core::RunReport Cusha::Run(const graph::Csr& csr, Algo algo, VertexId source) co
   const EdgeId m = csr.NumEdges();
   const bool weighted = core::IsWeighted(algo);
 
-  Shards shards = BuildShards(csr, options_.window_vertices);  // preprocessing
-
   sim::Device device(options_.spec);
   DeviceState d;
   try {
@@ -108,6 +106,10 @@ core::RunReport Cusha::Run(const graph::Csr& csr, Algo algo, VertexId source) co
     return report;
   }
   report.device_bytes_peak = device.Mem().DeviceBytesUsed();
+
+  // Preprocessing sorts all m edges; the allocation sizes above depend only
+  // on n and m, so an O.O.M. run never pays for it.
+  Shards shards = BuildShards(csr, options_.window_vertices);
 
   device.CopyToDevice(d.shard_src, std::span<const VertexId>(shards.src));
   device.CopyToDevice(d.shard_dst, std::span<const VertexId>(shards.dst));

@@ -744,7 +744,11 @@ RunReport ResidentGraph::Execute(Algo algo, std::vector<Weight> init_labels,
     report.kernel_profiles.assign(launches.begin() + static_cast<long>(profile_start),
                                   launches.end());
   }
-  report.timeline = device.GetTimeline();
+  // Only the spans recorded since the previous report: copying the whole
+  // session timeline into every report made a long session quadratic.
+  const std::vector<sim::Span>& spans = device.GetTimeline().Spans();
+  report.timeline.Append(std::span<const sim::Span>(spans).subspan(timeline_reported_));
+  timeline_reported_ = spans.size();
   const auto& sizes = device.Um().MigrationSizes().Values();
   report.migration_sizes.assign(sizes.begin() + static_cast<long>(migration_ops_start),
                                 sizes.end());

@@ -98,6 +98,8 @@ class ResidentGraph {
 
   /// The session device's full timeline (transfers, kernels, stalls) on the
   /// absolute session clock — the trace exporter's input for resident runs.
+  /// Each report's RunReport::timeline is the slice recorded since the
+  /// previous report, so the reports' timelines concatenate to this one.
   const sim::Timeline& SessionTimeline() const;
 
   /// Single-source traversal against the resident topology.
@@ -177,6 +179,9 @@ class ResidentGraph {
   double load_ms_ = 0;
   uint64_t device_bytes_peak_ = 0;
   uint64_t queries_served_ = 0;
+  /// Session timeline spans already handed out in a report; the next
+  /// report's timeline starts here.
+  size_t timeline_reported_ = 0;
 };
 
 class EtaGraph {

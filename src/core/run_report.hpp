@@ -119,6 +119,12 @@ struct RunReport {
   /// the two are equal). Always filled — the serving layer's cost
   /// observations read elapsed_cycles from here.
   sim::Counters query_counters;
+  /// Device spans (transfers, kernels, stalls) on the absolute device
+  /// clock. A one-shot run carries its device's full timeline. A query
+  /// served by a persistent ResidentGraph carries only the spans recorded
+  /// since the session's previous report (the first report also carries
+  /// the staging spans); ResidentGraph::SessionTimeline() is the whole
+  /// session's.
   sim::Timeline timeline;
 
   /// etaprof per-launch records for this query, in launch order; empty

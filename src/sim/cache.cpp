@@ -1,5 +1,6 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace eta::sim {
@@ -14,47 +15,28 @@ SectorCache::SectorCache(uint64_t capacity_bytes, uint32_t ways, uint32_t sector
   num_sets_ = static_cast<uint32_t>(sets);
   set_mask_ = num_sets_ - 1;
   ways_ = ways;
-  ways_storage_.resize(static_cast<size_t>(num_sets_) * ways_);
-}
-
-bool SectorCache::Access(uint64_t sector) {
-  ++accesses_;
-  ++tick_;
-  Way* set = &ways_storage_[(sector & set_mask_) * ways_];
-  uint32_t victim = 0;
-  uint64_t oldest = ~0ULL;
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (set[w].tag == sector) {
-      set[w].stamp = tick_;
-      ++hits_;
-      return true;
-    }
-    if (set[w].stamp < oldest) {
-      oldest = set[w].stamp;
-      victim = w;
-    }
-  }
-  set[victim].tag = sector;
-  set[victim].stamp = tick_;
-  return false;
+  tags_.assign(static_cast<size_t>(num_sets_) * ways_, kEmptyTag);
+  stamps_.assign(tags_.size(), 0);
 }
 
 bool SectorCache::Probe(uint64_t sector) const {
-  const Way* set = &ways_storage_[(sector & set_mask_) * ways_];
+  const uint64_t* tags = &tags_[(sector & set_mask_) * ways_];
   for (uint32_t w = 0; w < ways_; ++w) {
-    if (set[w].tag == sector) return true;
+    if (tags[w] == sector) return true;
   }
   return false;
 }
 
 void SectorCache::InvalidateAll() {
-  for (Way& w : ways_storage_) w = Way{};
+  std::fill(tags_.begin(), tags_.end(), kEmptyTag);
+  std::fill(stamps_.begin(), stamps_.end(), 0);
 }
 
 void SectorCache::InvalidateRange(uint64_t first_sector, uint64_t last_sector) {
-  for (Way& w : ways_storage_) {
-    if (w.tag != kEmptyTag && w.tag >= first_sector && w.tag < last_sector) {
-      w = Way{};
+  for (size_t i = 0; i < tags_.size(); ++i) {
+    if (tags_[i] != kEmptyTag && tags_[i] >= first_sector && tags_[i] < last_sector) {
+      tags_[i] = kEmptyTag;
+      stamps_[i] = 0;
     }
   }
 }

@@ -1,5 +1,7 @@
 #include "sim/device.hpp"
 
+#include <algorithm>
+
 namespace eta::sim {
 
 namespace internal {
@@ -7,15 +9,63 @@ namespace internal {
 uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
                          uint32_t elem_bytes, uint64_t* sectors) {
   (void)elem_bytes;  // elements are 4/8B and aligned: never straddle a sector
-  uint32_t n = 0;
-  WarpCtx::ForActive(mask, [&](uint32_t lane) {
-    uint64_t sector = addrs[lane] / 32;
-    for (uint32_t i = 0; i < n; ++i) {
-      if (sectors[i] == sector) return;
+  if (mask == 0) return 0;
+  // Ascending fast path: while the lanes' sectors never decrease, the list
+  // so far is strictly ascending, so a sector is new exactly when it exceeds
+  // the last one.
+  uint64_t last = addrs[static_cast<uint32_t>(std::countr_zero(mask))] / 32;
+  sectors[0] = last;
+  uint32_t n = 1;
+  for (mask &= mask - 1; mask != 0; mask &= mask - 1) {
+    const uint64_t sector = addrs[static_cast<uint32_t>(std::countr_zero(mask))] / 32;
+    if (sector < last) break;
+    // Branch-free append: the slot past the end is scratch until kept.
+    sectors[n] = sector;
+    n += sector != last;
+    last = sector;
+  }
+  if (mask == 0) return n;
+  // From the first descending lane on: first-occurrence dedup through a
+  // 64-slot open-addressing set (at most 32 keys, so probes stay short).
+  // A sector index is an address / 32 and can never be ~0.
+  constexpr uint32_t kSlots = 2 * kWarpSize;
+  constexpr uint64_t kEmpty = ~0ULL;
+  uint64_t table[kSlots];
+  std::fill(std::begin(table), std::end(table), kEmpty);
+  auto insert = [&](uint64_t sector) {
+    uint32_t slot = static_cast<uint32_t>((sector * 0x9e3779b97f4a7c15ULL) >> 58);
+    while (table[slot] != kEmpty) {
+      if (table[slot] == sector) return false;
+      slot = (slot + 1) & (kSlots - 1);
     }
-    sectors[n++] = sector;
+    table[slot] = sector;
+    return true;
+  };
+  for (uint32_t i = 0; i < n; ++i) insert(sectors[i]);
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    const uint64_t sector = addrs[lane] / 32;
+    if (insert(sector)) sectors[n++] = sector;
   });
   return n;
+}
+
+uint32_t MaxMultiplicity(const LaneArray<uint64_t>& idx, uint32_t mask) {
+  uint64_t v[kWarpSize];
+  uint32_t n = 0;
+  bool sorted = true;
+  WarpCtx::ForActive(mask, [&](uint32_t lane) {
+    sorted = sorted && (n == 0 || v[n - 1] <= idx[lane]);
+    v[n++] = idx[lane];
+  });
+  // Equal indices are adjacent once sorted; warps are almost always
+  // already sorted (one shared cursor, or ascending slots).
+  if (!sorted) std::sort(v, v + n);
+  uint32_t best = n > 0 ? 1 : 0;
+  for (uint32_t i = 1, run = 1; i < n; ++i) {
+    run = v[i] == v[i - 1] ? run + 1 : 1;
+    best = std::max(best, run);
+  }
+  return best;
 }
 
 }  // namespace internal
@@ -229,7 +279,8 @@ void Device::ReportLeaks() {
   }
 }
 
-uint32_t Device::ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t count) {
+uint32_t Device::ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t count,
+                             bool managed) {
   ETA_DCHECK(sm < l1_.size());
   Counters& c = accum_.c;
   uint32_t worst = spec_.lat_l1;
@@ -249,12 +300,13 @@ uint32_t Device::ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t coun
     }
     ++c.dram_read_transactions;
     worst = std::max(worst, spec_.lat_dram);
-    TouchManaged(sector * spec_.sector_bytes, /*write=*/false);
+    if (managed) TouchManaged(sector * spec_.sector_bytes, /*write=*/false);
   }
   return worst;
 }
 
-void Device::WriteSectors(uint32_t sm, const uint64_t* sectors, uint32_t count) {
+void Device::WriteSectors(uint32_t sm, const uint64_t* sectors, uint32_t count,
+                          bool managed) {
   (void)sm;  // L1 is write-through no-allocate: stores go straight to L2
   Counters& c = accum_.c;
   for (uint32_t i = 0; i < count; ++i) {
@@ -265,12 +317,11 @@ void Device::WriteSectors(uint32_t sm, const uint64_t* sectors, uint32_t count) 
     } else {
       ++c.dram_write_transactions;
     }
-    TouchManaged(sector * spec_.sector_bytes, /*write=*/true);
+    if (managed) TouchManaged(sector * spec_.sector_bytes, /*write=*/true);
   }
 }
 
 void Device::TouchManaged(uint64_t addr, bool write) {
-  if (!um_.IsManaged(addr)) return;
   auto r = um_.Touch(addr, write, now_ms_);
   accum_.migrated_bytes += r.migrated_bytes;
   accum_.fault_ops += r.fault_ops;

@@ -424,11 +424,17 @@ class Device {
                       const std::string& label);
 
   /// Cache/DRAM read path for `count` unique sectors on SM `sm`. Returns
-  /// the worst latency level encountered (cycles).
-  uint32_t ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t count);
-  /// Write-through store path.
-  void WriteSectors(uint32_t sm, const uint64_t* sectors, uint32_t count);
-  /// Unified-memory residency handling for one DRAM-level access.
+  /// the worst latency level encountered (cycles). `managed` says the
+  /// sectors belong to a kUnified buffer: a warp op touches one buffer, and
+  /// exactly the kUnified ones are registered with the UM page machinery
+  /// (addresses are bump-allocated and never reused), so the caller decides
+  /// once per op instead of a range lookup per sector.
+  uint32_t ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t count,
+                       bool managed);
+  /// Write-through store path; `managed` as for ReadSectors.
+  void WriteSectors(uint32_t sm, const uint64_t* sectors, uint32_t count, bool managed);
+  /// Unified-memory residency handling for one DRAM-level access to a
+  /// managed address.
   void TouchManaged(uint64_t addr, bool write);
 
   DeviceSpec spec_;
@@ -458,11 +464,16 @@ class Device {
 
 namespace internal {
 
-/// Deduplicates sectors of up to 32 addresses in place; returns count.
-/// Linear-scan dedup: warps usually touch far fewer than 32 distinct
-/// sectors, so the scan is short.
+/// Deduplicates the sectors of the active lanes' addresses into `sectors`
+/// in first-occurrence lane order (that order sets the caches' LRU state);
+/// returns the count. Linear while the sectors ascend lane by lane; a
+/// small hash set takes over from the first descending lane.
 uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
                          uint32_t elem_bytes, uint64_t* sectors);
+
+/// The largest number of active lanes sharing one index (0 for an empty
+/// mask): how many times a warp atomic serializes.
+uint32_t MaxMultiplicity(const LaneArray<uint64_t>& idx, uint32_t mask);
 
 }  // namespace internal
 
@@ -471,6 +482,19 @@ void WarpCtx::CheckedAddrs(const Buffer<T>& buf, const LaneArray<uint64_t>& idx,
                            uint32_t mask, AccessKind kind, LaneArray<uint64_t>& safe,
                            LaneArray<uint64_t>& addrs) const {
   AccessObserver* obs = device_.observer_;
+  if (obs == nullptr) {
+    // One whole-warp bounds test: a warp with every lane in bounds (every
+    // warp of a correct kernel) needs no per-lane clamp.
+    uint64_t max_i = 0;
+    ForActive(mask, [&](uint32_t lane) { max_i = std::max(max_i, idx[lane]); });
+    if (max_i < buf.count) {
+      ForActive(mask, [&](uint32_t lane) {
+        safe[lane] = idx[lane];
+        addrs[lane] = buf.raw.base_addr + idx[lane] * sizeof(T);
+      });
+      return;
+    }
+  }
   ForActive(mask, [&](uint32_t lane) {
     uint64_t i = idx[lane];
     if (obs != nullptr) {
@@ -496,7 +520,7 @@ void WarpCtx::Gather(const Buffer<T>& buf, const LaneArray<uint64_t>& idx, uint3
   CheckedAddrs(buf, idx, mask, AccessKind::kRead, safe, addrs);
   uint64_t sectors[kWarpSize];
   uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
-  uint32_t worst = device_.ReadSectors(sm_, sectors, n);
+  uint32_t worst = device_.ReadSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
   AccumGatherCost(mask, n, worst);
   const T* data = reinterpret_cast<const T*>(buf.raw.data);
   ForActive(mask, [&](uint32_t lane) { out[lane] = data[safe[lane]]; });
@@ -506,9 +530,36 @@ template <typename T>
 void WarpCtx::GatherContiguous(const Buffer<T>& buf, uint64_t base, uint32_t mask,
                                LaneArray<T>& out) {
   if (!mask) return;
-  LaneArray<uint64_t> idx;
-  ForActive(mask, [&](uint32_t lane) { idx[lane] = base + lane; });
-  Gather(buf, idx, mask, out);
+  const uint32_t lo = static_cast<uint32_t>(std::countr_zero(mask));
+  const uint32_t hi = kWarpSize - 1 - static_cast<uint32_t>(std::countl_zero(mask));
+  if (device_.observer_ != nullptr || base >= buf.count || hi >= buf.count - base) {
+    // An observer must see every lane, and an out-of-bounds lane must be
+    // clamped: both take the general path.
+    LaneArray<uint64_t> idx;
+    ForActive(mask, [&](uint32_t lane) { idx[lane] = base + lane; });
+    Gather(buf, idx, mask, out);
+    return;
+  }
+  // In bounds: the lanes' addresses ascend, so their first-occurrence
+  // sectors are the distinct ones in ascending order. With no hole in the
+  // mask that is the whole range from the lowest lane's sector to the
+  // highest's (elements are at most a sector apart).
+  const uint64_t first = buf.raw.base_addr + (base + lo) * sizeof(T);
+  uint64_t sectors[kWarpSize];
+  uint32_t n = 0;
+  if (sizeof(T) <= 32 && (mask >> lo) == (kFullMask >> (kWarpSize - 1 - hi + lo))) {
+    const uint64_t last = (first + uint64_t{hi - lo} * sizeof(T)) / 32;
+    for (uint64_t sector = first / 32; sector <= last; ++sector) sectors[n++] = sector;
+  } else {
+    ForActive(mask, [&](uint32_t lane) {
+      const uint64_t sector = (first + uint64_t{lane - lo} * sizeof(T)) / 32;
+      if (n == 0 || sector != sectors[n - 1]) sectors[n++] = sector;
+    });
+  }
+  uint32_t worst = device_.ReadSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
+  AccumGatherCost(mask, n, worst);
+  const T* data = reinterpret_cast<const T*>(buf.raw.data) + base;
+  ForActive(mask, [&](uint32_t lane) { out[lane] = data[lane]; });
 }
 
 template <typename T>
@@ -552,6 +603,7 @@ void WarpCtx::GatherBulk(const Buffer<T>& buf, const LaneArray<uint64_t>& start,
   uint32_t max_count = 0;
   uint32_t total_sectors = 0;
   const uint32_t sector_bytes = device_.Spec().sector_bytes;
+  const bool managed = buf.raw.kind == MemKind::kUnified;
   ForActive(mask, [&](uint32_t lane) {
     max_count = std::max(max_count, safe_count[lane]);
     if (safe_count[lane] == 0) return;
@@ -564,13 +616,13 @@ void WarpCtx::GatherBulk(const Buffer<T>& buf, const LaneArray<uint64_t>& start,
     for (uint64_t s = first; s <= last; ++s) {
       chunk[n++] = s;
       if (n == kWarpSize) {
-        worst = std::max(worst, device_.ReadSectors(sm_, chunk, n));
+        worst = std::max(worst, device_.ReadSectors(sm_, chunk, n, managed));
         total_sectors += n;
         n = 0;
       }
     }
     if (n > 0) {
-      worst = std::max(worst, device_.ReadSectors(sm_, chunk, n));
+      worst = std::max(worst, device_.ReadSectors(sm_, chunk, n, managed));
       total_sectors += n;
     }
   });
@@ -593,7 +645,7 @@ void WarpCtx::ScatterImpl(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
   CheckedAddrs(buf, idx, mask, kind, safe, addrs);
   uint64_t sectors[kWarpSize];
   uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
-  device_.WriteSectors(sm_, sectors, n);
+  device_.WriteSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
   AccumStoreCost(mask);
   T* data = reinterpret_cast<T*>(buf.raw.data);
   ForActive(mask, [&](uint32_t lane) { data[safe[lane]] = val[lane]; });
@@ -621,14 +673,8 @@ void WarpCtx::AtomicOp(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
   uint64_t sectors[kWarpSize];
   uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
   // Atomics resolve at the L2; same-address lanes serialize.
-  device_.WriteSectors(sm_, sectors, n);
-  uint32_t max_mult = 1;
-  ForActive(mask, [&](uint32_t lane) {
-    uint32_t mult = 0;
-    ForActive(mask, [&](uint32_t other) { mult += idx[other] == idx[lane]; });
-    max_mult = std::max(max_mult, mult);
-  });
-  AccumAtomicCost(mask, max_mult);
+  device_.WriteSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
+  AccumAtomicCost(mask, internal::MaxMultiplicity(idx, mask));
   T* data = reinterpret_cast<T*>(buf.raw.data);
   ForActive(mask, [&](uint32_t lane) { old[lane] = op(&data[safe[lane]], val[lane]); });
 }

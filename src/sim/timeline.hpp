@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,11 @@ struct Span {
 class Timeline {
  public:
   void Add(SpanKind kind, double start_ms, double end_ms, std::string label);
+  /// Copies already-recorded spans onto the end (a slice of another
+  /// timeline).
+  void Append(std::span<const Span> spans) {
+    spans_.insert(spans_.end(), spans.begin(), spans.end());
+  }
 
   const std::vector<Span>& Spans() const { return spans_; }
   void Clear() { spans_.clear(); }

@@ -27,16 +27,23 @@ void UnifiedMemory::Unregister(uint64_t base_addr) {
       resident_bytes_ -= spec_.page_bytes;
     }
   }
+  if (last_range_ == &it->second) last_range_ = nullptr;
   ranges_.erase(it);
   // Stale FIFO entries for this range are skipped lazily in EnsureRoom.
 }
 
 UnifiedMemory::Range* UnifiedMemory::FindRange(uint64_t addr) {
+  if (last_range_ != nullptr && addr >= last_range_->base &&
+      addr < last_range_->base + last_range_->bytes) {
+    return last_range_;
+  }
   auto it = ranges_.upper_bound(addr);
   if (it == ranges_.begin()) return nullptr;
   --it;
   Range& r = it->second;
-  return addr < r.base + r.bytes ? &r : nullptr;
+  if (addr >= r.base + r.bytes) return nullptr;
+  last_range_ = &r;
+  return &r;
 }
 
 const UnifiedMemory::Range* UnifiedMemory::FindRangeConst(uint64_t addr) const {

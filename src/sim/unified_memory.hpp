@@ -25,6 +25,9 @@ namespace eta::sim {
 class UnifiedMemory {
  public:
   explicit UnifiedMemory(const DeviceSpec& spec) : spec_(spec) {}
+  // Holds a reference to its device's spec and a pointer into its own map.
+  UnifiedMemory(const UnifiedMemory&) = delete;
+  UnifiedMemory& operator=(const UnifiedMemory&) = delete;
 
   /// Registers a managed allocation [base_addr, base_addr + bytes).
   /// Pages start host-resident.
@@ -90,6 +93,9 @@ class UnifiedMemory {
 
   const DeviceSpec& spec_;
   std::map<uint64_t, Range> ranges_;  // base -> range
+  /// The range FindRange found last (map nodes never move; Unregister
+  /// clears it). A warp op touches one buffer, so its sectors hit it.
+  Range* last_range_ = nullptr;
   uint64_t budget_bytes_ = 0;
   uint64_t resident_bytes_ = 0;
   uint64_t evicted_bytes_ = 0;

@@ -80,5 +80,54 @@ TEST(ChunkedStream, ReStreamsUnderWindowPressure) {
   EXPECT_EQ(r.labels, CpuReference(csr, Algo::kSssp, 0));
 }
 
+void ExpectSameSpans(std::span<const sim::Span> a, std::span<const sim::Span> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << "span " << i;
+    EXPECT_EQ(a[i].start_ms, b[i].start_ms) << "span " << i;
+    EXPECT_EQ(a[i].end_ms, b[i].end_ms) << "span " << i;
+    EXPECT_EQ(a[i].label, b[i].label) << "span " << i;
+  }
+}
+
+// A session query's report carries only the spans recorded since the
+// previous report, so the reports' timelines concatenate to the session's;
+// a one-shot run still carries its device's whole timeline.
+TEST(ResidentGraphTimeline, EachReportCarriesItsOwnSlice) {
+  graph::Csr csr = SmallSocialGraph();
+  EtaGraphOptions options;
+  options.memory_mode = MemoryMode::kExplicitCopy;  // staging records spans
+  ResidentGraph session(csr, options, /*stage_weights=*/true);
+  ASSERT_GT(session.LoadMs(), 0.0);
+  std::vector<RunReport> reports;
+  reports.push_back(session.Run(Algo::kBfs, 0));
+  reports.push_back(session.Run(Algo::kSssp, 5));
+  reports.push_back(session.RunConnectedComponents());
+  reports.push_back(session.Run(Algo::kSswp, 17));
+
+  std::vector<sim::Span> concatenated;
+  for (const RunReport& r : reports) {
+    ASSERT_FALSE(r.timeline.Spans().empty());
+    concatenated.insert(concatenated.end(), r.timeline.Spans().begin(),
+                        r.timeline.Spans().end());
+  }
+  ExpectSameSpans(concatenated, session.SessionTimeline().Spans());
+
+  // The first report opens with the staging spans; later ones start after
+  // the query before them ended.
+  EXPECT_LE(reports[0].timeline.Spans().front().end_ms, session.LoadMs());
+  for (size_t q = 1; q < reports.size(); ++q) {
+    for (const sim::Span& span : reports[q].timeline.Spans()) {
+      EXPECT_GE(span.start_ms, reports[q - 1].total_ms) << "query " << q;
+    }
+  }
+
+  RunReport one_shot = EtaGraph(options).Run(csr, Algo::kBfs, 0);
+  ResidentGraph single(csr, options, /*stage_weights=*/false);
+  single.Run(Algo::kBfs, 0);
+  ExpectSameSpans(one_shot.timeline.Spans(), single.SessionTimeline().Spans());
+  EXPECT_EQ(one_shot.timeline.Spans().front().start_ms, 0.0);
+}
+
 }  // namespace
 }  // namespace eta::core

@@ -2,9 +2,13 @@
 // counters, atomics, the roofline clock, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
 #include "sim/memory.hpp"
+#include "util/rng.hpp"
 
 namespace eta::sim {
 namespace {
@@ -61,6 +65,121 @@ TEST(SectorCache, InvalidateRange) {
   cache.InvalidateRange(0, 50);
   EXPECT_FALSE(cache.Probe(10));
   EXPECT_TRUE(cache.Probe(100));
+}
+
+// True LRU, kept as the reference the sector cache must match probe for
+// probe: each set is a recency list, most recent last.
+class ReferenceLru {
+ public:
+  ReferenceLru(uint32_t sets, uint32_t ways) : sets_(sets), ways_(ways) {}
+
+  bool Access(uint64_t sector) {
+    auto& set = sets_[sector % sets_.size()];
+    auto it = std::find(set.begin(), set.end(), sector);
+    const bool hit = it != set.end();
+    if (hit) {
+      set.erase(it);
+    } else if (set.size() == ways_) {
+      set.erase(set.begin());
+    }
+    set.push_back(sector);
+    return hit;
+  }
+  bool Probe(uint64_t sector) const {
+    const auto& set = sets_[sector % sets_.size()];
+    return std::find(set.begin(), set.end(), sector) != set.end();
+  }
+  void InvalidateRange(uint64_t first, uint64_t last) {
+    for (auto& set : sets_) {
+      std::erase_if(set, [&](uint64_t s) { return s >= first && s < last; });
+    }
+  }
+
+ private:
+  std::vector<std::vector<uint64_t>> sets_;
+  uint32_t ways_;
+};
+
+TEST(SectorCache, MatchesReferenceLruOnRandomStreams) {
+  for (uint32_t ways : {1u, 2u, 4u, 8u}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SectorCache cache(16 * ways * 32, ways);  // 16 sets
+      ReferenceLru ref(cache.NumSets(), ways);
+      util::SplitMix64 rng(seed * 100 + ways);
+      // A sector range a few times the capacity: hits, conflict misses and
+      // evictions all occur.
+      const uint64_t range = 4ull * cache.NumSets() * ways;
+      uint64_t hits = 0;
+      for (uint32_t op = 0; op < 20000; ++op) {
+        const uint64_t sector = rng.NextBounded(range);
+        const uint64_t kind = rng.NextBounded(100);
+        if (kind < 85) {
+          const bool hit = ref.Access(sector);
+          hits += hit;
+          ASSERT_EQ(cache.Access(sector), hit) << "ways " << ways << " op " << op;
+        } else if (kind < 98) {
+          ASSERT_EQ(cache.Probe(sector), ref.Probe(sector)) << "ways " << ways << " op " << op;
+        } else {
+          const uint64_t len = rng.NextBounded(range / 4) + 1;
+          cache.InvalidateRange(sector, sector + len);
+          ref.InvalidateRange(sector, sector + len);
+        }
+      }
+      EXPECT_EQ(cache.Hits(), hits);
+      EXPECT_GT(hits, 0u);
+    }
+  }
+}
+
+// --- CoalesceSectors ------------------------------------------------------------
+
+/// The reference dedup: first occurrence in lane order, by linear scan.
+std::vector<uint64_t> ReferenceCoalesce(const LaneArray<uint64_t>& addrs, uint32_t mask) {
+  std::vector<uint64_t> out;
+  for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
+    if (!(mask >> lane & 1)) continue;
+    const uint64_t sector = addrs[lane] / 32;
+    if (std::find(out.begin(), out.end(), sector) == out.end()) out.push_back(sector);
+  }
+  return out;
+}
+
+TEST(CoalesceSectors, MatchesReferenceFirstOccurrenceOrder) {
+  util::SplitMix64 rng(42);
+  const uint64_t base = 1 << 20;
+  for (uint32_t trial = 0; trial < 4000; ++trial) {
+    LaneArray<uint64_t> addrs{};
+    const uint32_t pattern = trial % 7;
+    const uint64_t stride = 4ull << rng.NextBounded(7);  // 4 .. 256 bytes
+    const uint64_t start = base + rng.NextBounded(1 << 12) * 4;
+    for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
+      switch (pattern) {
+        case 0: addrs[lane] = start + lane * 4; break;                           // ascending
+        case 1: addrs[lane] = start + (kWarpSize - lane) * 4; break;              // descending
+        case 2: addrs[lane] = start + (lane / 8) * 4; break;                      // duplicates
+        case 3: addrs[lane] = start + lane * stride; break;                       // strided
+        case 4: addrs[lane] = start + rng.NextBounded(64) * 4; break;             // clustered
+        case 5: addrs[lane] = base + rng.NextBounded(1 << 20) * 4; break;         // scattered
+        default:  // ascending, then one lane jumps back
+          addrs[lane] = lane == 20 ? start : start + lane * stride;
+      }
+    }
+    // Full, random, holed (one run cleared) and single-lane masks.
+    uint32_t mask = kFullMask;
+    switch (trial % 4) {
+      case 1: mask = static_cast<uint32_t>(rng.Next()); break;
+      case 2: mask = kFullMask & ~(((1u << 8) - 1) << rng.NextBounded(24)); break;
+      case 3: mask = 1u << rng.NextBounded(kWarpSize); break;
+      default: break;
+    }
+    uint64_t sectors[kWarpSize];
+    const uint32_t n = internal::CoalesceSectors(addrs, mask, 4, sectors);
+    const std::vector<uint64_t> expected = ReferenceCoalesce(addrs, mask);
+    ASSERT_EQ(std::vector<uint64_t>(sectors, sectors + n), expected)
+        << "trial " << trial << " pattern " << pattern << " mask " << mask;
+  }
+  uint64_t sectors[kWarpSize];
+  EXPECT_EQ(internal::CoalesceSectors(LaneArray<uint64_t>{}, 0, 4, sectors), 0u);
 }
 
 // --- DeviceMemory -------------------------------------------------------------
@@ -128,6 +247,88 @@ TEST(Device, ContiguousGatherCoalescesToFourSectors) {
   // 32 consecutive 4B elements = 128B = 4 sectors of 32B.
   EXPECT_EQ(result.counters.l1_accesses, 4u);
   EXPECT_EQ(result.counters.dram_read_transactions, 4u);
+}
+
+void ExpectSameCounters(const Counters& a, const Counters& b) {
+  EXPECT_EQ(a.warp_instructions, b.warp_instructions);
+  EXPECT_EQ(a.thread_instructions, b.thread_instructions);
+  EXPECT_EQ(a.l1_accesses, b.l1_accesses);
+  EXPECT_EQ(a.l1_hits, b.l1_hits);
+  EXPECT_EQ(a.l2_accesses, b.l2_accesses);
+  EXPECT_EQ(a.l2_hits, b.l2_hits);
+  EXPECT_EQ(a.dram_read_transactions, b.dram_read_transactions);
+  EXPECT_EQ(a.dram_write_transactions, b.dram_write_transactions);
+  EXPECT_EQ(a.shared_accesses, b.shared_accesses);
+  EXPECT_EQ(a.atomic_operations, b.atomic_operations);
+  EXPECT_EQ(a.mem_latency_cycles, b.mem_latency_cycles);
+  EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles);
+  EXPECT_EQ(a.launches, b.launches);
+}
+
+// GatherContiguous computes its sectors directly; it must cost and return
+// exactly what Gather does with the explicit indices base + lane.
+TEST(Device, GatherContiguousMatchesExplicitGather) {
+  for (MemKind kind : {MemKind::kDevice, MemKind::kUnified}) {
+    DeviceSpec spec = TestSpec();
+    // Managed pages oversubscribe a small device: faults, merged migrations
+    // and evictions (with their cache flushes) all occur.
+    if (kind == MemKind::kUnified) spec.device_memory_bytes = 256 * util::kKiB;
+    Device contiguous(spec);
+    Device indexed(spec);
+    const uint64_t count = 200000;
+    auto a = contiguous.Alloc<uint32_t>(count, kind, "data");
+    auto b = indexed.Alloc<uint32_t>(count, kind, "data");
+    for (uint64_t i = 0; i < count; ++i) {
+      a.HostSpan()[i] = static_cast<uint32_t>(i * 7);
+      b.HostSpan()[i] = static_cast<uint32_t>(i * 7);
+    }
+    util::SplitMix64 rng(9);
+    for (uint32_t launch = 0; launch < 40; ++launch) {
+      // Each warp picks a base and a mask; the tail cases put the highest
+      // active lane exactly on, or a masked-off lane past, the last element.
+      std::vector<uint64_t> bases(64);
+      std::vector<uint32_t> masks(64);
+      for (size_t w = 0; w < bases.size(); ++w) {
+        const uint32_t shape = static_cast<uint32_t>(rng.NextBounded(5));
+        masks[w] = shape == 0 ? kFullMask : static_cast<uint32_t>(rng.Next()) | 1u;
+        bases[w] = rng.NextBounded(count - kWarpSize);
+        if (shape == 1) {  // partial mask ending on the last element
+          const uint32_t hi = 31 - static_cast<uint32_t>(std::countl_zero(masks[w]));
+          bases[w] = count - 1 - hi;
+        } else if (shape == 2) {  // lanes past the end, all masked off
+          masks[w] = kFullMask >> 12;
+          bases[w] = count - 20;
+        } else if (shape == 3) {  // a run with holes inside one sector span
+          masks[w] = 0x0f0f0f0fu;
+        }
+      }
+      std::vector<LaneArray<uint32_t>> out_a(bases.size()), out_b(bases.size());
+      const LaunchConfig config{bases.size() * kWarpSize, 256};
+      LaunchResult ra = contiguous.Launch("g", config, [&](WarpCtx& w) {
+        w.GatherContiguous(a, bases[w.WarpId()], masks[w.WarpId()], out_a[w.WarpId()]);
+      });
+      LaunchResult rb = indexed.Launch("g", config, [&](WarpCtx& w) {
+        LaneArray<uint64_t> idx{};
+        for (uint32_t lane = 0; lane < kWarpSize; ++lane) idx[lane] = bases[w.WarpId()] + lane;
+        w.Gather(b, idx, masks[w.WarpId()], out_b[w.WarpId()]);
+      });
+      for (size_t w = 0; w < bases.size(); ++w) {
+        WarpCtx::ForActive(masks[w], [&](uint32_t lane) {
+          ASSERT_EQ(out_a[w][lane], out_b[w][lane]);
+          ASSERT_EQ(out_a[w][lane], static_cast<uint32_t>((bases[w] + lane) * 7));
+        });
+      }
+      ExpectSameCounters(ra.counters, rb.counters);
+      EXPECT_EQ(ra.migrated_bytes, rb.migrated_bytes);
+      EXPECT_EQ(ra.fault_ops, rb.fault_ops);
+      EXPECT_EQ(ra.end_ms, rb.end_ms);
+    }
+    if (kind == MemKind::kUnified) {
+      EXPECT_GT(contiguous.Um().TotalEvictedBytes(), 0u);
+      EXPECT_EQ(contiguous.Um().TotalMigratedBytes(), indexed.Um().TotalMigratedBytes());
+      EXPECT_EQ(contiguous.Um().TotalEvictedBytes(), indexed.Um().TotalEvictedBytes());
+    }
+  }
 }
 
 TEST(Device, StridedGatherIsUncoalesced) {
