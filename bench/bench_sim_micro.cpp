@@ -75,7 +75,7 @@ void CoalesceBench(benchmark::State& state, uint64_t stride) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim::internal::CoalesceSectors(warps[i++ & 255], sim::kFullMask, 4, sectors));
+        sim::internal::CoalesceSectors(warps[i++ & 255], sim::kFullMask, sectors));
     benchmark::ClobberMemory();
   }
 }

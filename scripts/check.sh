@@ -45,11 +45,12 @@
 # in bench_serve_throughput.
 #
 # --async builds normally and then exercises the stream dispatcher
-# (DESIGN.md section 11): the stream/event test binary, a sync-vs-async
-# replay diff across the serve matrix (shards x faults, single graph —
-# the byte-identity contract), a double-run async replay-determinism
-# diff, and the staging-overlap throughput-lift gate in
-# bench_overlap_serve.
+# (DESIGN.md section 11): the stream/event test binary, a prestage-off vs
+# --async replay diff across the serve matrix (shards x faults, single
+# graph — the byte-identity contract), a double-run async
+# replay-determinism diff, a multi-graph replay (2 shards, 3 graphs,
+# residency budget, faults) diffed against tests/golden/, and the
+# staging-overlap throughput-lift gate in bench_overlap_serve.
 #
 # --verify builds normally and then exercises etaverify end to end
 # (DESIGN.md section 12): the verifier test binary, a planted-bug matrix
@@ -57,8 +58,9 @@
 # expected finding kind with buffer attribution, while the replay stays
 # byte-identical to the healthy run — the timing-luck defects replay
 # diffs cannot see), a clean multi-graph matrix over shards x faults that
-# must verify with zero findings, and a double-run byte-identity diff of
-# the verifier's JSON report.
+# must verify with zero findings (plus prestage-off rows, whose dispatch
+# DAGs are recorded too), and a double-run byte-identity diff of the
+# verifier's JSON report.
 #
 # --overload builds normally and then exercises the overload-control stack
 # (DESIGN.md section 13): the overload/router test binaries, an open-loop
@@ -387,12 +389,12 @@ if [[ "$ASYNC" == "1" ]]; then
   ASYNC_DIR="$(mktemp -d)"
   trap 'rm -f "$LOG"; rm -rf "$ASYNC_DIR"' EXIT
 
-  echo "== sync vs async replay identity (shards x faults, single graph) =="
-  # On a single-graph catalog prestaging never fires and every dispatch
-  # stream starts on idle engines, so the async schedule must reproduce the
-  # sync replay byte for byte — faults included (decisions are drawn at
-  # functional execution, identically in both schedules). The async replay
-  # must also be deterministic across two runs.
+  echo "== prestage-off vs async replay identity (shards x faults, single graph) =="
+  # On a single-graph catalog prestaging never fires, so an --async replay
+  # must reproduce the prestage-off replay byte for byte — faults included
+  # (decisions are drawn at functional execution, identically in both
+  # schedules). The async replay must also be deterministic across two
+  # runs.
   REQS=48
   for shards in 1 2 4; do
     for spec in "none" "lost=0.01" \
@@ -418,9 +420,24 @@ if [[ "$ASYNC" == "1" ]]; then
         echo "check.sh: async replay nondeterministic for $label" >&2
         exit 1
       fi
-      echo "-- $label: async replay identical to sync, deterministic"
+      echo "-- $label: async replay identical to prestage-off, deterministic"
     done
   done
+
+  echo "== multi-graph replay golden (prestage off) =="
+  # Staging, LRU eviction and reloads under a budget, faults, rebuilds and
+  # a dead shard: the prestage-off multi-graph timing is pinned byte for
+  # byte. A dispatcher change that moves any timestamp fails here; an
+  # intended model change regenerates the golden with this command.
+  "$BUILD_DIR/src/etagraph_serve" --dataset=slashdot --scale=0.1 --shards=2 --catalog=3 \
+    --device-mem-budget=400000 --requests=300 --mean-arrival=0.3 --queue-cap=300 \
+    --faults=seed=4,uecc=0.02,lost=0.002,hang=0.01 \
+    --replay-out="$ASYNC_DIR/multigraph.txt" > /dev/null
+  if ! diff -u tests/golden/replay-shards2-catalog3.txt "$ASYNC_DIR/multigraph.txt"; then
+    echo "check.sh: multi-graph replay differs from tests/golden/replay-shards2-catalog3.txt" >&2
+    exit 1
+  fi
+  echo "-- shards=2 catalog=3 budget faults: replay identical to golden"
 
   echo "== staging-overlap throughput contract =="
   # The bench's own exit gates enforce answer identity sync vs async and a
@@ -484,12 +501,16 @@ if [[ "$VERIFY" == "1" ]]; then
     done
   done
 
-  echo "== clean matrix (shards x faults, multi-graph async) =="
-  for shards in 1 2 4; do
+  echo "== clean matrix (shards x faults, multi-graph, prestage on and off) =="
+  for shards in 1 2 4 2-noprestage; do
     for spec in "none" "lost=0.01" \
                 "uecc=0.03,hang=0.02,lost=0.002,alloc=0.05,watchdog=5"; do
       args=(--dataset=rmat --scale=0.1 --requests=48 --mean-arrival=0.1
-            --queue-cap=48 --shards="$shards" --catalog=2 --async --verify-dag)
+            --queue-cap=48 --shards="${shards%-noprestage}" --catalog=2 --verify-dag)
+      # Without --async every dispatch still records its stream DAG.
+      if [[ "$shards" != *-noprestage ]]; then
+        args+=(--async)
+      fi
       label="shards=$shards faults=$spec"
       if [[ "$spec" != "none" ]]; then
         args+=(--faults="seed=3,$spec")
@@ -503,6 +524,11 @@ if [[ "$VERIFY" == "1" ]]; then
           exit 1
         fi
       done
+      # A clean verdict over an empty log proves nothing.
+      if grep -q '"ops_checked": 0,' "$VERIFY_DIR/$safe.1.json"; then
+        echo "check.sh: $label recorded no stream ops" >&2
+        exit 1
+      fi
       # The verifier's verdict is a pure function of the DAG: two runs of
       # one configuration must emit byte-identical reports.
       if ! diff -u "$VERIFY_DIR/$safe.1.json" "$VERIFY_DIR/$safe.2.json"; then

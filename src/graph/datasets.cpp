@@ -188,7 +188,13 @@ Csr BuildDatasetCached(const std::string& name, const std::string& cache_dir,
                 static_cast<int>(std::lround(scale * 1000)));
   fs::path path = fs::path(cache_dir) / key;
   if (fs::exists(path)) {
-    return ReadGaloisGr(path.string());
+    std::string error;
+    if (std::optional<Csr> cached = TryReadGaloisGr(path.string(), &error)) {
+      return std::move(*cached);
+    }
+    // A torn write or a corrupted file is a cache miss, not a fatal error:
+    // the entry is rebuilt and rewritten below.
+    ETA_LOG(Warn) << "regenerating corrupt dataset cache " << path.string() << ": " << error;
   }
   Csr csr = BuildDataset(name, scale);
   WriteGaloisGr(csr, path.string());

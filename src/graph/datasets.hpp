@@ -54,7 +54,8 @@ Csr BuildDataset(const std::string& name, double scale = 1.0);
 
 /// Same, but caches the built graph as a Galois .gr file under `cache_dir`
 /// so repeated bench invocations skip generation. The cache key includes
-/// the scale.
+/// the scale. An entry that fails TryReadGaloisGr (truncated, corrupt) is
+/// treated as missing: rebuilt and rewritten.
 Csr BuildDatasetCached(const std::string& name, const std::string& cache_dir,
                        double scale = 1.0);
 

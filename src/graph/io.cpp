@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "graph/builder.hpp"
@@ -15,11 +18,6 @@ namespace {
 void WriteRaw(std::ofstream& out, const void* data, size_t bytes) {
   out.write(static_cast<const char*>(data), static_cast<std::streamsize>(bytes));
   ETA_CHECK(out.good());
-}
-
-void ReadRaw(std::ifstream& in, void* data, size_t bytes) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  ETA_CHECK(in.good());
 }
 
 }  // namespace
@@ -53,39 +51,86 @@ void WriteGaloisGr(const Csr& csr, const std::string& path) {
   }
 }
 
-Csr ReadGaloisGr(const std::string& path) {
+std::optional<Csr> TryReadGaloisGr(const std::string& path, std::string* error) {
+  auto fail = [&](const std::string& why) -> std::optional<Csr> {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
+  };
+  std::error_code ec;
+  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return fail("cannot stat: " + ec.message());
   std::ifstream in(path, std::ios::binary);
-  ETA_CHECK(in.is_open());
+  if (!in.is_open()) return fail("cannot open");
+  auto read = [&](void* data, uint64_t bytes) {
+    return static_cast<bool>(
+        in.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes)));
+  };
 
-  uint64_t version = 0, edge_data_size = 0, num_nodes = 0, num_edges = 0;
-  ReadRaw(in, &version, 8);
-  ReadRaw(in, &edge_data_size, 8);
-  ReadRaw(in, &num_nodes, 8);
-  ReadRaw(in, &num_edges, 8);
-  ETA_CHECK(version == 1);
-  ETA_CHECK(edge_data_size == 0 || edge_data_size == sizeof(Weight));
+  uint64_t header[4] = {};
+  if (file_bytes < sizeof(header) || !read(header, sizeof(header))) {
+    return fail("truncated header");
+  }
+  const auto [version, edge_data_size, num_nodes, num_edges] = header;
+  if (version != 1) return fail("unsupported version " + std::to_string(version));
+  if (edge_data_size != 0 && edge_data_size != sizeof(Weight)) {
+    return fail("unsupported edge data size " + std::to_string(edge_data_size));
+  }
+  // The header must account for the file byte for byte before any vector
+  // is sized from it: a truncated or corrupt file must not ask for a
+  // header-sized allocation. Bounding each count by the body first keeps
+  // the size arithmetic below from overflowing.
+  const uint64_t body = file_bytes - sizeof(header);
+  if (num_nodes > body / 8 || num_edges > body / 4 ||
+      num_nodes >= std::numeric_limits<VertexId>::max() ||
+      num_edges > std::numeric_limits<EdgeId>::max()) {
+    return fail("header counts exceed the file size");
+  }
+  const uint64_t target_bytes = num_edges * sizeof(VertexId) + (num_edges % 2) * 4;
+  const uint64_t weight_bytes = edge_data_size != 0 ? num_edges * sizeof(Weight) : 0;
+  const uint64_t expected = sizeof(header) + num_nodes * 8 + target_bytes + weight_bytes;
+  if (expected != file_bytes) {
+    return fail("file is " + std::to_string(file_bytes) + " bytes, header implies " +
+                std::to_string(expected));
+  }
 
+  // Galois stores *end* offsets (row_offsets[1..n]) as 64-bit values.
+  std::vector<uint64_t> ends(num_nodes);
+  if (!read(ends.data(), num_nodes * 8)) return fail("short read of row offsets");
   std::vector<EdgeId> offsets(num_nodes + 1, 0);
   for (uint64_t v = 0; v < num_nodes; ++v) {
-    uint64_t end = 0;
-    ReadRaw(in, &end, 8);
-    ETA_CHECK(end <= num_edges);
-    offsets[v + 1] = static_cast<EdgeId>(end);
+    if (ends[v] < offsets[v] || ends[v] > num_edges) return fail("row offsets out of order");
+    offsets[v + 1] = static_cast<EdgeId>(ends[v]);
   }
+  if (offsets.back() != num_edges) return fail("row offsets do not end at the edge count");
   std::vector<VertexId> targets(num_edges);
-  ReadRaw(in, targets.data(), num_edges * sizeof(VertexId));
+  if (!read(targets.data(), target_bytes - (num_edges % 2) * 4)) {
+    return fail("short read of edge targets");
+  }
   if (num_edges % 2 == 1) {
+    // Destination array is padded to an 8-byte boundary.
     uint32_t pad = 0;
-    ReadRaw(in, &pad, 4);
+    if (!read(&pad, 4)) return fail("short read of padding");
+  }
+  for (VertexId t : targets) {
+    if (t >= num_nodes) return fail("edge target out of range");
   }
   Csr csr(std::move(offsets), std::move(targets));
   if (edge_data_size != 0) {
     std::vector<Weight> weights(num_edges);
-    ReadRaw(in, weights.data(), num_edges * sizeof(Weight));
+    if (!read(weights.data(), weight_bytes)) return fail("short read of edge data");
     csr.SetWeights(std::move(weights));
   }
-  ETA_CHECK(csr.Validate());
   return csr;
+}
+
+Csr ReadGaloisGr(const std::string& path) {
+  std::string error;
+  std::optional<Csr> csr = TryReadGaloisGr(path, &error);
+  if (!csr.has_value()) {
+    std::fprintf(stderr, "ReadGaloisGr: %s: %s\n", path.c_str(), error.c_str());
+    std::abort();
+  }
+  return std::move(*csr);
 }
 
 void WriteEdgeListText(const Csr& csr, const std::string& path) {

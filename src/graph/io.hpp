@@ -7,6 +7,7 @@
 // reader/writer for interoperability with SNAP-style downloads.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,14 @@ namespace eta::graph {
 /// Aborts on I/O failure.
 void WriteGaloisGr(const Csr& csr, const std::string& path);
 
-/// Reads a Galois version-1 .gr file. Aborts on malformed input.
+/// Reads a Galois version-1 .gr file, or returns nullopt with the reason in
+/// `*error` when it is unreadable or malformed. The header is checked
+/// against the file size before anything is sized from it, so a truncated
+/// or corrupt file costs no header-sized allocation.
+std::optional<Csr> TryReadGaloisGr(const std::string& path, std::string* error = nullptr);
+
+/// Reads a Galois version-1 .gr file. Aborts with the reason on malformed
+/// input.
 Csr ReadGaloisGr(const std::string& path);
 
 /// Writes "src dst [weight]" lines.

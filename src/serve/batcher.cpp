@@ -21,15 +21,12 @@ bool Batchable(core::Algo algo) {
 
 namespace {
 
-/// The launch waves of one ExecuteBatch call. Each wave runs on the running
-/// clock (sync), or as a compute op on the caller's stream (async) — the
-/// functional run is the same either way, only the timestamps come from
-/// the scheduled op. With a fresh stream and idle engines the op starts
-/// exactly where the sync clock would, so the two paths produce
-/// bit-identical outcomes.
+/// The launch waves of one ExecuteBatch call, each a compute op on the
+/// caller's stream: the functional run happens at enqueue, and the wave's
+/// timestamps come from the scheduled op.
 class WaveRunner {
  public:
-  WaveRunner(const Batch& batch, double start_ms, const BatchStreamContext* ctx,
+  WaveRunner(const Batch& batch, double start_ms, const BatchStreamContext& ctx,
              const BatchTraceContext* tctx)
       : batch_(batch),
         start_ms_(start_ms),
@@ -37,23 +34,17 @@ class WaveRunner {
         ctx_(ctx),
         sink_(tctx != nullptr ? tctx->sink : nullptr),
         shard_(tctx != nullptr ? tctx->shard : int16_t{-1}),
-        tag_ops_(tctx != nullptr && tctx->tag_ops && ctx != nullptr) {}
+        tag_ops_(tctx != nullptr && tctx->tag_ops) {}
 
-  /// The batch clock: where the next wave starts (sync) or at least ends.
+  /// The batch clock: where the last wave ended.
   double Now() const { return t_; }
 
   /// Runs one wave; returns false when the stream had already failed and
   /// the wave was cancelled without running.
   bool Run(std::string label, const std::function<core::RunReport()>& run,
            core::RunReport* report, double* wave_start) {
-    if (ctx_ == nullptr) {
-      *report = run();
-      *wave_start = t_;
-      t_ += report->query_ms;
-      return true;
-    }
-    const sim::StreamOpStatus status = ctx_->streams->LaunchAsync(
-        ctx_->stream, std::move(label),
+    const sim::StreamOpStatus status = ctx_.streams->LaunchAsync(
+        ctx_.stream, std::move(label),
         [&](double) {
           *report = run();
           return sim::StreamScheduler::LaunchOutcome{report->query_ms,
@@ -63,9 +54,9 @@ class WaveRunner {
     if (status != sim::StreamOpStatus::kCancelled) {
       // Failed waves still ran (the fault struck mid-launch), so they
       // accessed the session's buffers like any other wave.
-      ctx_->streams->AnnotateLastOp({{ctx_->topo_alloc, false}, {ctx_->state_alloc, true}});
+      ctx_.streams->AnnotateLastOp({{ctx_.topo_alloc, false}, {ctx_.state_alloc, true}});
     }
-    const sim::StreamOp& op = ctx_->streams->Ops().back();
+    const sim::StreamOp& op = ctx_.streams->Ops().back();
     *wave_start = op.start_ms;
     // A cancelled op is stamped at the stream's fault time, which may
     // precede `t`; never move the batch clock backwards.
@@ -75,11 +66,9 @@ class WaveRunner {
 
   /// Surfaces a wave that will never run as a cancelled op on the schedule
   /// (zero duration at the fault time) instead of silently dropping it.
-  void Cancel(std::string label) {
-    if (ctx_ == nullptr) return;
-    ctx_->streams->LaunchAsync(
-        ctx_->stream, std::move(label),
-        [](double) { return sim::StreamScheduler::LaunchOutcome{}; },
+  void Cancel(const std::string& label) {
+    ctx_.streams->LaunchAsync(
+        ctx_.stream, label, [](double) { return sim::StreamScheduler::LaunchOutcome{}; },
         /*earliest_ms=*/start_ms_);
   }
 
@@ -87,12 +76,11 @@ class WaveRunner {
   /// and cycle counts, the stream-op tag, and its trace events.
   void Ran(size_t begin, size_t count, double wave_start, const core::RunReport& report,
            BatchOutcome* out) {
-    const int64_t op_id =
-        ctx_ != nullptr ? static_cast<int64_t>(ctx_->streams->Ops().size()) - 1 : -1;
+    const auto op_id = static_cast<int64_t>(ctx_.streams->Ops().size()) - 1;
     const uint64_t head_id = batch_.requests[begin].id;
     out->faults.Merge(report.faults);
     out->cycles += report.query_counters.elapsed_cycles;
-    if (tag_ops_) ctx_->streams->TagLastOp(head_id);
+    if (tag_ops_) ctx_.streams->TagLastOp(head_id);
     EmitWave(begin, count, wave_start, report.DeviceFailed(), op_id);
     EmitFaults(report, head_id, wave_start);
   }
@@ -152,7 +140,7 @@ class WaveRunner {
   const Batch& batch_;
   const double start_ms_;
   double t_;
-  const BatchStreamContext* ctx_;
+  const BatchStreamContext& ctx_;
   trace::EventSink* sink_;
   const int16_t shard_;
   const bool tag_ops_;
@@ -161,89 +149,56 @@ class WaveRunner {
 }  // namespace
 
 BatchOutcome ExecuteBatch(GraphSession& session, const Batch& batch, double start_ms,
-                          const BatchStreamContext* ctx, const BatchTraceContext* tctx) {
+                          const BatchStreamContext& ctx, const BatchTraceContext* tctx) {
   ETA_CHECK(!batch.requests.empty());
-  if (ctx != nullptr) {
-    ETA_CHECK(ctx->streams != nullptr);
-    ETA_CHECK(ctx->stream.valid);
-  }
+  ETA_CHECK(ctx.streams != nullptr);
+  ETA_CHECK(ctx.stream.valid);
+  for (const Request& r : batch.requests) ETA_CHECK(r.algo == batch.algo);
   BatchOutcome out;
   out.results.reserve(batch.requests.size());
   WaveRunner waves(batch, start_ms, ctx, tctx);
 
-  if (batch.requests.size() > 1 && Batchable(batch.algo)) {
-    // Per-source attribution masks are kMaxAttributedSources bits wide, so
-    // a batch beyond the cap executes as successive launch waves of at most
-    // the cap. Each wave is a complete attributed launch; a device failure
-    // leaves that wave and everything behind it unserved.
-    constexpr size_t kWave = core::ResidentGraph::kMaxAttributedSources;
-    const std::string wave_label = std::string(core::AlgoName(batch.algo)) + "-wave";
-    for (size_t begin = 0; begin < batch.requests.size(); begin += kWave) {
-      const size_t count = std::min(kWave, batch.requests.size() - begin);
-      std::vector<graph::VertexId> sources;
-      sources.reserve(count);
-      for (size_t i = begin; i < begin + count; ++i) {
-        ETA_CHECK(batch.requests[i].algo == batch.algo);
-        sources.push_back(batch.requests[i].source);
-      }
-      core::RunReport report;
-      double wave_start = waves.Now();
-      const bool ran = waves.Run(
-          wave_label, [&] { return session.RunBatch(batch.algo, sources); }, &report,
-          &wave_start);
-      if (ran) waves.Ran(begin, count, wave_start, report, &out);
-      if (!ran || report.DeviceFailed()) {
-        // All-or-nothing per wave: a folded launch that died answers
-        // nobody, and later waves never dispatch on the failed session.
-        out.unserved.assign(batch.requests.begin() + static_cast<long>(begin),
-                            batch.requests.end());
-        out.device_failed = true;
-        for (size_t b = begin + kWave; b < batch.requests.size(); b += kWave) {
-          waves.Cancel(wave_label);
-        }
-        break;
-      }
-      ETA_CHECK(report.per_source_reached.size() == count);
-      for (size_t i = 0; i < count; ++i) {
-        QueryResult q = OutcomeOf(batch.requests[begin + i], QueryStatus::kOk);
-        q.reached_vertices = report.per_source_reached[i];
-        q.batch_size = static_cast<uint32_t>(count);
-        q.start_ms = wave_start;
-        q.finish_ms = waves.Now();
-        out.results.push_back(q);
-      }
-    }
-    out.duration_ms = waves.Now() - start_ms;
-    return out;
-  }
-
-  // Sequential fallback: run each request on its own, back to back.
-  for (size_t i = 0; i < batch.requests.size(); ++i) {
-    const Request& r = batch.requests[i];
+  // A wave is one attributed launch of up to kMaxAttributedSources folded
+  // sources (the attribution mask's width), or one request on its own.
+  const size_t n = batch.requests.size();
+  const bool fold = n > 1 && Batchable(batch.algo);
+  const size_t width = fold ? core::ResidentGraph::kMaxAttributedSources : 1;
+  const std::string label = std::string(core::AlgoName(batch.algo)) + (fold ? "-wave" : "");
+  std::vector<graph::VertexId> sources;
+  for (size_t begin = 0; begin < n; begin += width) {
+    const size_t count = std::min(width, n - begin);
+    sources.clear();
+    for (size_t i = begin; i < begin + count; ++i) sources.push_back(batch.requests[i].source);
     core::RunReport report;
     double wave_start = waves.Now();
     const bool ran = waves.Run(
-        std::string(core::AlgoName(r.algo)),
-        [&] { return session.RunQuery(r.algo, r.source); }, &report, &wave_start);
-    if (ran) waves.Ran(i, 1, wave_start, report, &out);
+        label,
+        [&] {
+          return fold ? session.RunBatch(batch.algo, sources)
+                      : session.RunQuery(batch.algo, sources.front());
+        },
+        &report, &wave_start);
+    if (ran) waves.Ran(begin, count, wave_start, report, &out);
     if (!ran || report.DeviceFailed()) {
-      // This request and everything behind it goes back to the engine; a
+      // All-or-nothing per wave: a launch that died answers nobody, and a
       // session that just exhausted its retry budget (or lost its device)
-      // is not a place to keep dispatching.
-      out.unserved.assign(batch.requests.begin() + static_cast<long>(i),
+      // is not a place to keep dispatching — this wave and everything
+      // behind it goes back to the engine.
+      out.unserved.assign(batch.requests.begin() + static_cast<long>(begin),
                           batch.requests.end());
       out.device_failed = true;
-      for (size_t j = i + 1; j < batch.requests.size(); ++j) {
-        waves.Cancel(std::string(core::AlgoName(batch.requests[j].algo)));
-      }
+      for (size_t b = begin + width; b < n; b += width) waves.Cancel(label);
       break;
     }
-    QueryResult q = OutcomeOf(r, QueryStatus::kOk);
-    q.reached_vertices = report.activated;
-    q.batch_size = 1;
-    q.start_ms = wave_start;
-    q.finish_ms = waves.Now();
-    out.results.push_back(q);
+    if (fold) ETA_CHECK(report.per_source_reached.size() == count);
+    for (size_t i = 0; i < count; ++i) {
+      QueryResult q = OutcomeOf(batch.requests[begin + i], QueryStatus::kOk);
+      q.reached_vertices = fold ? report.per_source_reached[i] : report.activated;
+      q.batch_size = static_cast<uint32_t>(count);
+      q.start_ms = wave_start;
+      q.finish_ms = waves.Now();
+      out.results.push_back(q);
+    }
   }
   out.duration_ms = waves.Now() - start_ms;
   return out;

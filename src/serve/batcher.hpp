@@ -4,13 +4,13 @@
 // Requests are compatible when they run the same batchable algorithm (BFS
 // or SSSP — the traversals whose multi-source merge plus per-source reach
 // attribution reproduce every request's individual answer exactly). A
-// folded batch executes as a single attributed RunMultiSource launch:
-// topology reads and frontier work are shared across the requests, and
-// each request's reached-vertex count is read back from the per-source
+// folded batch executes as attributed RunMultiSource launch waves: topology
+// reads and frontier work are shared across the requests, and each
+// request's reached-vertex count is read back from the per-source
 // attribution masks, bit-identical to running it alone. Anything that
-// cannot be folded — SSWP, or a batch of one — takes the sequential
-// fallback path, so batching is purely an optimization, never a semantic
-// change.
+// cannot be folded — SSWP, or a batch of one — runs one request per wave,
+// so batching is purely an optimization, never a semantic change. Every
+// wave is a compute op on the caller's stream (BatchStreamContext).
 #pragma once
 
 #include <vector>
@@ -57,17 +57,14 @@ struct BatchOutcome {
   bool device_failed = false;
 };
 
-/// Async dispatch context (DESIGN.md section 11). When passed to
-/// ExecuteBatch, every launch wave is enqueued as a compute op on `stream`
-/// of `streams` instead of being charged on a private running clock: the
-/// wave's start honours the stream tail (anything the caller enqueued
-/// first — a staging copy, a wait on a pre-stage event) and the compute
-/// engine's FIFO, and its timestamps come from the scheduled op. The
-/// functional execution (RunBatch/RunQuery, counters, sanitizer events,
-/// fault decisions) is exactly the synchronous path's; with a fresh stream
-/// and idle engines the schedule — and so the whole outcome — is
-/// bit-identical to the sync overload. A wave fault fails the stream, and
-/// the remaining waves surface as cancelled ops (zero duration, work never
+/// Stream dispatch context (DESIGN.md section 11). ExecuteBatch enqueues
+/// every launch wave as a compute op on `stream` of `streams`: the wave's
+/// start honours the stream tail (anything the caller enqueued first — a
+/// staging copy, a wait on a pre-stage event) and the compute engine's
+/// FIFO, and its timestamps come from the scheduled op. The functional
+/// execution (RunBatch/RunQuery, counters, sanitizer events, fault
+/// decisions) happens at enqueue. A wave fault fails the stream, and the
+/// remaining waves surface as cancelled ops (zero duration, work never
 /// run) rather than silently disappearing from the schedule.
 struct BatchStreamContext {
   sim::StreamScheduler* streams = nullptr;
@@ -82,10 +79,9 @@ struct BatchStreamContext {
 
 /// etatrace emission context (DESIGN.md section 14). When passed, every
 /// launch wave emits one kWave event per folded request (op_id = the
-/// wave's stream-DAG op index under async dispatch, -1 sync) and the
-/// retry loop's failures surface as kFault events attributed to the
-/// wave's head request. With tag_ops set (trace_requests on), async
-/// launch waves are additionally tagged with the head request id via
+/// wave's stream-DAG op index) and the retry loop's failures surface as
+/// kFault events attributed to the wave's head request. With tag_ops set
+/// (trace_requests on), launch waves are additionally tagged with the head request id via
 /// sim::StreamScheduler::TagLastOp so etaverify findings can name their
 /// victim request. All host-side bookkeeping: the simulated schedule is
 /// untouched.
@@ -95,19 +91,17 @@ struct BatchTraceContext {
   bool tag_ops = false;
 };
 
-/// Executes `batch` on `session` starting at simulated time `start_ms`.
-/// Multi-request batches run as one attributed multi-source launch and are
-/// demultiplexed; size-one or non-batchable batches run sequentially (the
-/// correctness fallback). Per-source attribution masks carry one bit per
-/// source (core::ResidentGraph::kMaxAttributedSources = 32 wide), so a
-/// batch beyond the cap splits into successive launch waves of at most the
-/// cap — each wave is its own attributed launch with its own start/finish
-/// stamps and batch_size, so a 64-request dispatch answers bit-identically
-/// to two 32-request dispatches. On a device failure the remaining
-/// requests are returned unserved rather than half-answered.
-/// With `ctx`, waves are scheduled as stream ops (see BatchStreamContext).
+/// Executes `batch` on `session` starting at simulated time `start_ms`, as
+/// launch waves on `ctx`'s stream. A multi-request batch of a batchable
+/// algorithm folds into attributed multi-source waves of at most
+/// core::ResidentGraph::kMaxAttributedSources (the 32-bit attribution mask)
+/// and is demultiplexed — each wave has its own start/finish stamps and
+/// batch_size, so a 64-request dispatch answers bit-identically to two
+/// 32-request dispatches. Anything else runs one request per wave (the
+/// correctness fallback). On a device failure the failed wave's requests
+/// and everything behind it are returned unserved rather than half-answered.
 BatchOutcome ExecuteBatch(GraphSession& session, const Batch& batch, double start_ms,
-                          const BatchStreamContext* ctx = nullptr,
+                          const BatchStreamContext& ctx,
                           const BatchTraceContext* tctx = nullptr);
 
 }  // namespace eta::serve

@@ -168,8 +168,7 @@ std::string ServeReport::Render(const std::string& title) const {
   }
 
   if (!shard_stats.empty()) {
-    // The stream-dispatch columns appear only on async replays, keeping
-    // sync fleet output byte-identical to the pre-stream layout.
+    // The prestage columns appear only when prestaging was on.
     std::vector<std::string> header = {"Shard",    "Dispatches", "Served", "Degraded",
                                        "In",       "Out",        "Rebuilds", "Evict",
                                        "Reload",   "Faults",     "Busy ms"};
@@ -248,7 +247,7 @@ std::string ServeReport::Json() const {
           faults.device_lost ? "true" : "false", check.launches_checked,
           static_cast<uint64_t>(check.ErrorCount()),
           static_cast<uint64_t>(check.WarningCount()));
-  // Emitted only on async replays so sync JSON stays byte-identical.
+  // Emitted only with prestaging on, so prestage-off JSON has no such key.
   if (async_dispatch) out += ",\"async_dispatch\":true";
   // Same contract for the million-user scheduler features (section 15):
   // keys appear only when the feature was configured.

@@ -59,8 +59,8 @@ struct ShardStat {
   double busy_ms = 0;       // simulated time spent dispatching (incl. loads)
   uint64_t peak_resident_bytes = 0;  // high-water device residency
 
-  /// Async-dispatch (stream) accounting, DESIGN.md section 11; all zero
-  /// under the synchronous dispatcher.
+  /// Prestaging accounting, DESIGN.md section 11; all zero with
+  /// prestaging off (no copy overlaps compute then).
   uint64_t prestages = 0;  // sessions staged ahead on the copy stream
   double prestage_ms = 0;  // copy-stream time spent pre-staging
   double overlap_ms = 0;   // copy/compute engine overlap the shard achieved
@@ -129,9 +129,9 @@ struct OverloadStats {
 
 struct ServeReport {
   ServeMode mode = ServeMode::kSessionBatched;
-  /// True when the replay ran the stream-based async dispatcher
-  /// (ShardedOptions::async_dispatch). Rendered only when set, so sync
-  /// report output is byte-identical with or without the stream layer.
+  /// True when the replay pre-staged on copy streams
+  /// (ShardedOptions::async_dispatch). Rendered only when set, so a
+  /// prestage-off report has no prestage or overlap rows.
   bool async_dispatch = false;
 
   /// True when the scheduler popped in earliest-effective-deadline order
@@ -251,7 +251,8 @@ struct ServeReport {
 
   /// etaverify findings over every shard's recorded stream DAG (merged);
   /// empty with ops_checked == 0 unless ServeOptions::graph.verify_dag
-  /// enabled the log on an async replay. Like `check`, not rendered by
+  /// enabled the log (every replay records a stream DAG, with or without
+  /// prestaging). Like `check`, not rendered by
   /// Render() — tools print it separately.
   verify::DagReport verify;
 

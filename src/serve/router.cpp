@@ -67,10 +67,10 @@ struct ResidentSession {
   // Trace-export bookmarks into this session's device timeline/profiler.
   size_t spans_done = 0;
   size_t launches_done = 0;
-  // Async-dispatch state (zero/invalid under the sync dispatcher). A
-  // pre-staged session finishes its copy-stream staging at ready_ms;
-  // consuming dispatches wait on ready_event. busy_until marks the session
-  // un-evictable (mid-copy or mid-compute) until that serve-clock time.
+  // Stream state. A pre-staged session finishes its copy-stream staging
+  // at ready_ms; consuming dispatches wait on ready_event (invalid for a
+  // cold stage). busy_until marks the session un-evictable (mid-copy or
+  // mid-compute) until that serve-clock time.
   double ready_ms = 0;
   sim::Event ready_event{};
   double busy_until = 0;
@@ -122,10 +122,10 @@ struct Shard {
   /// re-staged graph is a new staging epoch).
   std::map<std::pair<uint32_t, core::Algo>, MemoEntry> memo;
   ShardStat stat{};
-  /// Async dispatch only: the shard's stream scheduler (one compute engine
-  /// + one copy engine per direction), a dense name counter for the
-  /// per-dispatch streams, and a backoff mark after a failed pre-stage
-  /// build (so a staging fault is not re-drawn at every event tick).
+  /// The shard's stream scheduler (one compute engine + one copy engine
+  /// per direction), a dense name counter for the per-dispatch streams,
+  /// and a backoff mark after a failed pre-stage build (so a staging fault
+  /// is not re-drawn at every event tick).
   std::unique_ptr<sim::StreamScheduler> streams;
   uint64_t dispatch_seq = 0;
   double no_prestage_until = 0;
@@ -185,7 +185,7 @@ std::vector<double> ScaleThresholds(const ShardedOptions& options) {
 ///                batch-window hold), execute;
 ///   recovery   — quarantine, rebuild, drain, breaker, shard death, CPU
 ///                fallback, inside the dispatch that hit the fault;
-///   prestage   — async copy-stream staging while a shard computes;
+///   prestage   — copy-stream staging while a shard computes (async only);
 /// and Finalize() folds the replay into the report.
 class Replay {
  public:
@@ -257,10 +257,8 @@ class Replay {
       }
       s.rebuilds_left = base_.max_session_rebuilds;
       s.stat.shard = i;
-      if (async_) {
-        s.streams = std::make_unique<sim::StreamScheduler>(base_.graph.spec);
-        if (base_.graph.verify_dag) s.streams->EnableDagLog();
-      }
+      s.streams = std::make_unique<sim::StreamScheduler>(base_.graph.spec);
+      if (base_.graph.verify_dag) s.streams->EnableDagLog();
     }
   }
 
@@ -725,11 +723,11 @@ class Replay {
 
   /// Evicts idle least-recently-used residents until `need` more bytes fit
   /// under the budget. A session still busy at time `t` (mid-copy of a
-  /// pre-stage, mid-compute of the in-flight dispatch — async only; sync
-  /// sessions are never busy at eviction time) is skipped: you cannot
-  /// unmap a graph an engine is reading. Stops when nothing evictable is
-  /// left, so a dispatch may transiently stage over budget rather than
-  /// stall (peak_resident_bytes records the honest high-water mark).
+  /// pre-stage, mid-compute of the in-flight dispatch) is skipped: you
+  /// cannot unmap a graph an engine is reading. Stops when nothing
+  /// evictable is left, so a dispatch may transiently stage over budget
+  /// rather than stall (peak_resident_bytes records the honest high-water
+  /// mark).
   void EvictFor(Shard& s, uint64_t need, double t) {
     const uint64_t budget = options_.device_mem_budget_bytes;
     if (budget == 0) return;
@@ -774,18 +772,18 @@ class Replay {
   /// Returns the shard's resident session for `graph_id`, staging it for
   /// an `algo` dispatch (and evicting LRU residents under the memory
   /// budget) if needed; `t` is the shard-local clock and is charged the
-  /// staging time. Under async dispatch `dstream` is the dispatch's
-  /// stream: cold staging is placed on it as a copy-engine op (so the
-  /// engine FIFO and the trace see it), and a hit on a still-staging
-  /// pre-staged session waits on its ready event. Returns nullptr when
-  /// staging itself failed (injected allocation fault) — the caller's
-  /// quarantine loop owns the retry budget.
+  /// staging time. `dstream` is the dispatch's stream: cold staging is
+  /// placed on it as a copy-engine op (so the engine FIFO and the trace
+  /// see it), and a hit on a still-staging pre-staged session waits on its
+  /// ready event. Returns nullptr when staging itself failed (injected
+  /// allocation fault) — the caller's quarantine loop owns the retry
+  /// budget.
   ResidentSession* EnsureSession(Shard& s, uint32_t graph_id, core::Algo algo, double& t,
                                  sim::Stream dstream) {
     for (ResidentSession& rs : s.sessions) {
       if (rs.graph_id != graph_id) continue;
       rs.last_used = ++lru_tick_;
-      if (dstream.valid && rs.ready_event.valid) {
+      if (rs.ready_event.valid) {
         // Plants (test-only, see ShardedOptions::DagPlant): the serve
         // clock still honours ready_ms below, so the replay's answers
         // and timestamps stay green — only the recorded DAG loses the
@@ -805,19 +803,14 @@ class Replay {
              t);
     ResidentSession rs = BuildSession(s, graph_id, algo);
     const double load_ms = rs.session->LoadMs();
-    if (dstream.valid) {
-      // Mirror the staging charge as a copy-engine op on the dispatch
-      // stream: with idle engines it lands exactly at [t, t + LoadMs] —
-      // the sync charge — and when a pre-stage still occupies the copy
-      // engine the two transfers serialize honestly.
-      s.streams->CopyAsync(dstream, sim::StreamOpKind::kCopyH2D, load_ms,
-                           "stage-g" + std::to_string(graph_id),
-                           /*earliest_ms=*/t, rs.session->DeviceBytesPeak());
-      RegisterStageAllocs(s, rs);
-      t = s.streams->Ops().back().end_ms;
-    } else {
-      t += load_ms;
-    }
+    // The staging charge is a copy-engine op on the dispatch stream: with
+    // idle engines it lands at [t, t + LoadMs], and when a pre-stage still
+    // occupies the copy engine the two transfers serialize honestly.
+    s.streams->CopyAsync(dstream, sim::StreamOpKind::kCopyH2D, load_ms,
+                         "stage-g" + std::to_string(graph_id),
+                         /*earliest_ms=*/t, rs.session->DeviceBytesPeak());
+    RegisterStageAllocs(s, rs);
+    t = s.streams->Ops().back().end_ms;
     if (profiling_) {
       CaptureDeviceSlice(s, rs, t - load_ms, 0.0);  // fresh device clock starts at 0
       prof::TraceSpan span{"serve/session", "session-load", t - load_ms, t, {}};
@@ -946,13 +939,12 @@ class Replay {
     return live;
   }
 
-  /// Async dispatch: each ExecuteBatch attempt runs as a DAG on a fresh
-  /// stream — staging copy (or a wait on the pre-stage event), then the
-  /// launch waves as compute ops. Fresh per attempt, because a wave fault
-  /// fails its stream for good; the engine FIFOs carry the persistent
-  /// serialization across dispatches. Invalid (sync) otherwise.
+  /// Each ExecuteBatch attempt runs as a DAG on a fresh stream — staging
+  /// copy (or a wait on the pre-stage event), then the launch waves as
+  /// compute ops. Fresh per attempt, because a wave fault fails its stream
+  /// for good; the engine FIFOs carry the persistent serialization across
+  /// dispatches.
   sim::Stream NewDispatchStream(Shard& s) {
-    if (!async_) return {};
     // The host only reaches this point once it observed the previous
     // dispatch stream complete (free_at gating, or the quarantine loop
     // retrying after the attempt's fault time): record that knowledge as
@@ -978,13 +970,13 @@ class Replay {
     }
     const BatchTraceContext tctx{&sink_, s.TraceIndex(), tracer_.enabled()};
     BatchOutcome out = ExecuteBatch(*rs.session, Batch{d.algo, d.graph_id, d.pending}, d.t,
-                                    async_ ? &ctx : nullptr, &tctx);
+                                    ctx, &tctx);
     report_.faults.Merge(out.faults);
     s.stat.launch_failures += out.faults.launch_failures;
     d.t += out.duration_ms;
     d.cycles += out.cycles;
     CaptureDeviceSlice(s, rs, dispatch_start, device_before);
-    if (async_) rs.busy_until = std::max(rs.busy_until, d.t);
+    rs.busy_until = std::max(rs.busy_until, d.t);
     // Flight-recorder trigger: the device fell off the bus mid-batch.
     if (out.faults.device_lost && !out.unserved.empty()) {
       const uint64_t victim = out.unserved.front().id;
@@ -1105,16 +1097,16 @@ class Replay {
 
   // --- Prestage ---------------------------------------------------------------
 
-  /// Async dispatch: while a shard's compute engine is busy (free_at in
-  /// the future), stage the next queued graph on its own copy stream —
-  /// the session build plus the hoisted topology prefetch
+  /// Prestaging (async_dispatch): while a shard's compute engine is busy
+  /// (free_at in the future), stage the next queued graph on its own copy
+  /// stream — the session build plus the hoisted topology prefetch
   /// (GraphSession::PrefetchTopology) run now, overlapping the in-flight
   /// dispatch's compute, and the consuming dispatch waits on the recorded
   /// ready event instead of paying the staging serially. At most one
   /// pre-stage triggers per busy window (once inserted, the head graph is
   /// resident and the trigger condition goes false). On a single-graph
   /// catalog the head graph is always resident, so this never fires and
-  /// the async replay stays byte-identical to the sync one. A naive
+  /// the replay stays byte-identical to one with prestaging off. A naive
   /// dispatch stages its own fresh device, so nothing is pre-staged.
   void MaybePrestage(Shard& s) {
     if (!async_ || naive_ || s.dead || !s.active || s.queue.Empty()) return;
@@ -1262,14 +1254,12 @@ class Replay {
     report_.makespan_ms = std::max(max_finish_, now_);
     for (Shard& s : shards_) {
       RetireAllSessions(s);
-      if (async_) {
-        s.stat.overlap_ms = s.streams->OverlapMs();
-        if (s.streams->DagLogEnabled()) {
-          // Returning the report is the host's device-wide synchronize:
-          // every stream's tail is observed here, so none is an orphan.
-          s.streams->HostJoinAll();
-          report_.verify.Merge(verify::VerifyDag(*s.streams));
-        }
+      s.stat.overlap_ms = s.streams->OverlapMs();
+      if (s.streams->DagLogEnabled()) {
+        // Returning the report is the host's device-wide synchronize:
+        // every stream's tail is observed here, so none is an orphan.
+        s.streams->HostJoinAll();
+        report_.verify.Merge(verify::VerifyDag(*s.streams));
       }
     }
     for (const auto& [algo, agg] : cost_) {
@@ -1363,7 +1353,7 @@ class Replay {
       metrics.GetGauge("serve_shard_busy_ms", "Simulated busy time per shard.", labels)
           .Set(s.stat.busy_ms);
       if (async_) {
-        // Emitted only on async replays, keeping sync metrics byte-identical.
+        // Emitted only with prestaging on, like the report's columns.
         count("serve_shard_prestages_total",
               "Sessions pre-staged on the copy stream per shard.", s.stat.prestages);
         metrics

@@ -41,21 +41,23 @@
 // accumulates, and holding N independent windows open would couple the
 // shards' clocks. Only ServeEngine (one shard) holds a batch window.
 //
-// Async dispatch (ShardedOptions::async_dispatch, DESIGN.md section 11):
-// each shard owns a sim::StreamScheduler modelling one compute engine plus
-// one copy engine per direction. A dispatch becomes a per-dispatch stream
-// (cold staging as a copy op, launch waves as compute ops); while the
-// compute engine is busy, the next queued graph pre-stages on its own copy
-// stream and records an event the consuming dispatch waits on. The replay
-// stays a pure function of its inputs — the stream schedule is derived
-// from the same simulated clock, and double runs stay byte-identical. On a
-// single-graph catalog the head graph is always resident, no pre-staging
-// triggers, and the async replay is byte-identical to the sync one (the
-// equivalence scripts/check.sh --async gates); multi-graph catalogs keep
-// bit-identical per-request answers while timestamps shift earlier. A
-// launch fault fails only its own stream: the dispatch's remaining waves
-// cancel at the fault time, pre-stages on other streams keep running, and
-// the quarantine/rebuild path proceeds exactly as in the sync dispatcher.
+// Stream dispatch (DESIGN.md section 11): each shard owns a
+// sim::StreamScheduler modelling one compute engine plus one copy engine
+// per direction, and every dispatch attempt is a small DAG on a fresh
+// stream — cold staging as a copy op, each launch wave as a compute op.
+// There is no other dispatch path. ShardedOptions::async_dispatch arms
+// prestaging on top: while the compute engine is busy, the next queued
+// graph pre-stages on its own copy stream and records an event the
+// consuming dispatch waits on. The replay stays a pure function of its
+// inputs — the stream schedule is derived from the same simulated clock,
+// and double runs stay byte-identical. On a single-graph catalog the head
+// graph is always resident, no pre-staging triggers, and a replay with
+// prestaging is byte-identical to one without (the equivalence
+// scripts/check.sh --async gates); multi-graph catalogs keep bit-identical
+// per-request answers while timestamps shift earlier. A launch fault fails
+// only its own stream: the dispatch's remaining waves cancel at the fault
+// time, pre-stages on other streams keep running, and the
+// quarantine/rebuild path retries on a fresh stream.
 //
 // Per-shard fault injection: with ShardedOptions::shard_faults set, shard
 // i uses shard_faults[i] verbatim (the way a test pins a device loss to
@@ -88,21 +90,21 @@ struct ShardedOptions {
   /// shard_faults[i] when i < shard_faults.size(), else the derived base
   /// config (base.graph.faults with seed + i).
   std::vector<sim::FaultConfig> shard_faults;
-  /// Stream-based async dispatch (DESIGN.md section 11): each shard runs a
-  /// sim::StreamScheduler; dispatches become small event DAGs (stage op ->
-  /// event -> launch waves on a compute stream), and while a shard's
-  /// compute engine is busy the dispatcher pre-stages the next queued
-  /// graph on the copy stream (build + hoisted topology prefetch), so
-  /// staging overlaps compute instead of serializing behind it. Off by
-  /// default; the sync path is untouched when false.
+  /// Prestaging (DESIGN.md section 11): while a shard's compute engine is
+  /// busy, the dispatcher pre-stages the next queued graph on a copy
+  /// stream (build + hoisted topology prefetch), so staging overlaps
+  /// compute instead of serializing behind it; the report gains the
+  /// prestage and overlap columns. Every dispatch runs on streams either
+  /// way. Off by default.
   bool async_dispatch = false;
   /// Test-only DAG-bug plants (the etaverify analog of
   /// EtaGraphOptions::inject): surgically reintroduces the ordering-bug
-  /// classes the static verifier exists to catch, inside the real async
+  /// classes the static verifier exists to catch, inside the real
   /// dispatcher, without perturbing the functional answers — the shard
   /// clock still honours the pre-stage ready time, so replay diffs stay
   /// green while the recorded DAG carries the defect. Never enable
-  /// outside tests/gates; requires async_dispatch.
+  /// outside tests/gates; requires async_dispatch (every plant acts on a
+  /// pre-stage).
   enum class DagPlant : uint8_t {
     kNone,
     /// Drop the dispatch's Wait on the pre-stage ready event: the launch

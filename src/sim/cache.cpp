@@ -5,10 +5,9 @@
 
 namespace eta::sim {
 
-SectorCache::SectorCache(uint64_t capacity_bytes, uint32_t ways, uint32_t sector_bytes) {
+SectorCache::SectorCache(uint64_t capacity_bytes, uint32_t ways) {
   ETA_CHECK(ways >= 1);
-  ETA_CHECK(sector_bytes >= 1);
-  uint64_t sectors = capacity_bytes / sector_bytes;
+  uint64_t sectors = capacity_bytes / kSectorBytes;
   ETA_CHECK(sectors >= ways);
   uint64_t sets = std::bit_floor(sectors / ways);
   ETA_CHECK(sets >= 1);

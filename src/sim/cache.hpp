@@ -14,17 +14,18 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/spec.hpp"
 #include "util/check.hpp"
 
 namespace eta::sim {
 
 class SectorCache {
  public:
-  /// capacity_bytes / sector_bytes sectors, organized `ways`-associative.
+  /// capacity_bytes / kSectorBytes sectors, organized `ways`-associative.
   /// The set count is rounded down to a power of two for cheap indexing.
-  SectorCache(uint64_t capacity_bytes, uint32_t ways, uint32_t sector_bytes = 32);
+  SectorCache(uint64_t capacity_bytes, uint32_t ways);
 
-  /// Probes for `sector` (an absolute sector index, i.e. address / 32).
+  /// Probes for `sector` (an absolute sector index: address / kSectorBytes).
   /// On miss the sector is filled, evicting the set's LRU way.
   /// Returns true on hit. Inline: every simulated sector read probes here.
   bool Access(uint64_t sector) {

@@ -7,17 +7,17 @@ namespace eta::sim {
 namespace internal {
 
 uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
-                         uint32_t elem_bytes, uint64_t* sectors) {
-  (void)elem_bytes;  // elements are 4/8B and aligned: never straddle a sector
+                         uint64_t* sectors) {
+  // Elements are 4/8B and aligned: none straddles a sector.
   if (mask == 0) return 0;
   // Ascending fast path: while the lanes' sectors never decrease, the list
   // so far is strictly ascending, so a sector is new exactly when it exceeds
   // the last one.
-  uint64_t last = addrs[static_cast<uint32_t>(std::countr_zero(mask))] / 32;
+  uint64_t last = addrs[static_cast<uint32_t>(std::countr_zero(mask))] / kSectorBytes;
   sectors[0] = last;
   uint32_t n = 1;
   for (mask &= mask - 1; mask != 0; mask &= mask - 1) {
-    const uint64_t sector = addrs[static_cast<uint32_t>(std::countr_zero(mask))] / 32;
+    const uint64_t sector = addrs[static_cast<uint32_t>(std::countr_zero(mask))] / kSectorBytes;
     if (sector < last) break;
     // Branch-free append: the slot past the end is scratch until kept.
     sectors[n] = sector;
@@ -27,7 +27,7 @@ uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
   if (mask == 0) return n;
   // From the first descending lane on: first-occurrence dedup through a
   // 64-slot open-addressing set (at most 32 keys, so probes stay short).
-  // A sector index is an address / 32 and can never be ~0.
+  // A sector index is an address / kSectorBytes and can never be ~0.
   constexpr uint32_t kSlots = 2 * kWarpSize;
   constexpr uint64_t kEmpty = ~0ULL;
   uint64_t table[kSlots];
@@ -43,7 +43,7 @@ uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
   };
   for (uint32_t i = 0; i < n; ++i) insert(sectors[i]);
   WarpCtx::ForActive(mask, [&](uint32_t lane) {
-    const uint64_t sector = addrs[lane] / 32;
+    const uint64_t sector = addrs[lane] / kSectorBytes;
     if (insert(sector)) sectors[n++] = sector;
   });
   return n;
@@ -76,14 +76,14 @@ Device::Device(DeviceSpec spec)
     : spec_(spec),
       mem_(spec_.device_memory_bytes, spec_.page_bytes),
       um_(spec_),
-      l2_(spec_.l2_bytes, spec_.l2_ways, spec_.sector_bytes) {
+      l2_(spec_.l2_bytes, spec_.l2_ways) {
   // Per-SM L1 with contention-scaled effective capacity (see spec.hpp).
   uint64_t effective_l1 =
       std::max<uint64_t>(spec_.l1_bytes / std::max(1u, spec_.l1_interleave_factor),
-                         static_cast<uint64_t>(spec_.l1_ways) * spec_.sector_bytes);
+                         static_cast<uint64_t>(spec_.l1_ways) * kSectorBytes);
   l1_.reserve(spec_.num_sms);
   for (uint32_t i = 0; i < spec_.num_sms; ++i) {
-    l1_.emplace_back(effective_l1, spec_.l1_ways, spec_.sector_bytes);
+    l1_.emplace_back(effective_l1, spec_.l1_ways);
   }
   UpdateUmBudget();
 }
@@ -129,7 +129,7 @@ LaunchResult Device::EndLaunch(const std::string& label, const LaunchConfig& con
       static_cast<double>(c.mem_latency_cycles) / (active_sms * std::max(1.0, hiding));
   const double l2_cycles = static_cast<double>(c.L2Bytes()) / spec_.l2_bytes_per_cycle;
   const double dram_bytes = static_cast<double>(
-      (c.dram_read_transactions + c.dram_write_transactions) * spec_.sector_bytes);
+      (c.dram_read_transactions + c.dram_write_transactions) * kSectorBytes);
   const double dram_cycles = dram_bytes / spec_.dram_bytes_per_cycle;
 
   double cycles = std::max({issue_cycles, latency_cycles, l2_cycles, dram_cycles, 1.0});
@@ -300,7 +300,7 @@ uint32_t Device::ReadSectors(uint32_t sm, const uint64_t* sectors, uint32_t coun
     }
     ++c.dram_read_transactions;
     worst = std::max(worst, spec_.lat_dram);
-    if (managed) TouchManaged(sector * spec_.sector_bytes, /*write=*/false);
+    if (managed) TouchManaged(sector * kSectorBytes, /*write=*/false);
   }
   return worst;
 }
@@ -317,7 +317,7 @@ void Device::WriteSectors(uint32_t sm, const uint64_t* sectors, uint32_t count,
     } else {
       ++c.dram_write_transactions;
     }
-    if (managed) TouchManaged(sector * spec_.sector_bytes, /*write=*/true);
+    if (managed) TouchManaged(sector * kSectorBytes, /*write=*/true);
   }
 }
 

@@ -469,7 +469,7 @@ namespace internal {
 /// returns the count. Linear while the sectors ascend lane by lane; a
 /// small hash set takes over from the first descending lane.
 uint32_t CoalesceSectors(const LaneArray<uint64_t>& addrs, uint32_t mask,
-                         uint32_t elem_bytes, uint64_t* sectors);
+                         uint64_t* sectors);
 
 /// The largest number of active lanes sharing one index (0 for an empty
 /// mask): how many times a warp atomic serializes.
@@ -519,7 +519,7 @@ void WarpCtx::Gather(const Buffer<T>& buf, const LaneArray<uint64_t>& idx, uint3
   LaneArray<uint64_t> addrs;
   CheckedAddrs(buf, idx, mask, AccessKind::kRead, safe, addrs);
   uint64_t sectors[kWarpSize];
-  uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
+  uint32_t n = internal::CoalesceSectors(addrs, mask, sectors);
   uint32_t worst = device_.ReadSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
   AccumGatherCost(mask, n, worst);
   const T* data = reinterpret_cast<const T*>(buf.raw.data);
@@ -547,12 +547,14 @@ void WarpCtx::GatherContiguous(const Buffer<T>& buf, uint64_t base, uint32_t mas
   const uint64_t first = buf.raw.base_addr + (base + lo) * sizeof(T);
   uint64_t sectors[kWarpSize];
   uint32_t n = 0;
-  if (sizeof(T) <= 32 && (mask >> lo) == (kFullMask >> (kWarpSize - 1 - hi + lo))) {
-    const uint64_t last = (first + uint64_t{hi - lo} * sizeof(T)) / 32;
-    for (uint64_t sector = first / 32; sector <= last; ++sector) sectors[n++] = sector;
+  if (sizeof(T) <= kSectorBytes && (mask >> lo) == (kFullMask >> (kWarpSize - 1 - hi + lo))) {
+    const uint64_t last = (first + uint64_t{hi - lo} * sizeof(T)) / kSectorBytes;
+    for (uint64_t sector = first / kSectorBytes; sector <= last; ++sector) {
+      sectors[n++] = sector;
+    }
   } else {
     ForActive(mask, [&](uint32_t lane) {
-      const uint64_t sector = (first + uint64_t{lane - lo} * sizeof(T)) / 32;
+      const uint64_t sector = (first + uint64_t{lane - lo} * sizeof(T)) / kSectorBytes;
       if (n == 0 || sector != sectors[n - 1]) sectors[n++] = sector;
     });
   }
@@ -602,15 +604,14 @@ void WarpCtx::GatherBulk(const Buffer<T>& buf, const LaneArray<uint64_t>& start,
   uint32_t worst = 0;
   uint32_t max_count = 0;
   uint32_t total_sectors = 0;
-  const uint32_t sector_bytes = device_.Spec().sector_bytes;
   const bool managed = buf.raw.kind == MemKind::kUnified;
   ForActive(mask, [&](uint32_t lane) {
     max_count = std::max(max_count, safe_count[lane]);
     if (safe_count[lane] == 0) return;
-    uint64_t first = buf.AddrOf(safe_start[lane]) / sector_bytes;
+    uint64_t first = buf.AddrOf(safe_start[lane]) / kSectorBytes;
     uint64_t last =
         (buf.AddrOf(safe_start[lane]) + uint64_t{safe_count[lane]} * sizeof(T) - 1) /
-        sector_bytes;
+        kSectorBytes;
     uint64_t chunk[kWarpSize];
     uint32_t n = 0;
     for (uint64_t s = first; s <= last; ++s) {
@@ -644,7 +645,7 @@ void WarpCtx::ScatterImpl(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
   LaneArray<uint64_t> addrs;
   CheckedAddrs(buf, idx, mask, kind, safe, addrs);
   uint64_t sectors[kWarpSize];
-  uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
+  uint32_t n = internal::CoalesceSectors(addrs, mask, sectors);
   device_.WriteSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
   AccumStoreCost(mask);
   T* data = reinterpret_cast<T*>(buf.raw.data);
@@ -671,7 +672,7 @@ void WarpCtx::AtomicOp(Buffer<T>& buf, const LaneArray<uint64_t>& idx,
   LaneArray<uint64_t> addrs;
   CheckedAddrs(buf, idx, mask, AccessKind::kAtomic, safe, addrs);
   uint64_t sectors[kWarpSize];
-  uint32_t n = internal::CoalesceSectors(addrs, mask, sizeof(T), sectors);
+  uint32_t n = internal::CoalesceSectors(addrs, mask, sectors);
   // Atomics resolve at the L2; same-address lanes serialize.
   device_.WriteSectors(sm_, sectors, n, buf.raw.kind == MemKind::kUnified);
   AccumAtomicCost(mask, internal::MaxMultiplicity(idx, mask));

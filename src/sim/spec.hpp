@@ -18,6 +18,11 @@
 
 namespace eta::sim {
 
+/// Coalescer / cache-line request granularity in bytes. A fixed property of
+/// the modelled memory system, not a tunable: the coalescer, the sector
+/// caches and the unified-memory page math all address by it.
+inline constexpr uint32_t kSectorBytes = 32;
+
 struct DeviceSpec {
   // --- Execution geometry -------------------------------------------------
   uint32_t num_sms = 28;
@@ -32,7 +37,6 @@ struct DeviceSpec {
   uint32_t latency_hiding_warps = 5;
 
   // --- Memory hierarchy ----------------------------------------------------
-  uint32_t sector_bytes = 32;  // coalescer / cache-line request granularity
   uint64_t l1_bytes = 48 * util::kKiB;  // per SM (unified L1 + texture)
   uint32_t l1_ways = 4;
   /// Contention model: resident warps on an SM share the L1, so a single

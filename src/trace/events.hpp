@@ -47,7 +47,7 @@ enum class EventKind : uint8_t {
   kDispatch,
   /// One attributed multi-source wave executed for this request.
   /// a = wave size, b = wave duration ms, c = 1 if the wave failed,
-  /// op_id = stream-DAG op index of the launch (async dispatch; -1 sync).
+  /// op_id = stream-DAG op index of the launch on its shard's scheduler.
   kWave,
   /// One failed device attempt inside the retry loop. status =
   /// FaultClass, a = attempt number (0-based), b = backoff charged ms,
@@ -101,7 +101,7 @@ struct TraceEvent {
   uint64_t request_id = 0;
   double at_ms = 0;        // simulated serve clock
   double a = 0, b = 0, c = 0;  // kind-specific payload, see EventKind
-  int64_t op_id = -1;      // stream-DAG op index (kWave under async)
+  int64_t op_id = -1;      // stream-DAG op index (kWave only)
   int16_t shard = -1;      // shard index where meaningful, -1 otherwise
   EventKind kind = EventKind::kAdmit;
   uint8_t status = 0;      // kind-specific sub-code, see EventKind

@@ -2,12 +2,17 @@
 // derivation, generators, and the Table I space model.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <set>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "graph/space_model.hpp"
 #include "graph/stats.hpp"
 
@@ -263,6 +268,40 @@ TEST(SpaceModel, LiveJournalRatiosMatchPaper) {
   EXPECT_NEAR(rows[0].normalized, 1.87, 0.15);
   EXPECT_GT(rows[2].normalized, 1.0);
   EXPECT_LT(rows[2].normalized, rows[0].normalized);
+}
+
+TEST(DatasetCache, TruncatedEntryIsRegeneratedNotFatal) {
+  namespace fs = std::filesystem;
+  const fs::path cache =
+      fs::temp_directory_path() / ("eta_graph_cache_test_" + std::to_string(::getpid()));
+  fs::remove_all(cache);
+  const Csr built = BuildDatasetCached("slashdot", cache.string(), /*scale=*/0.05);
+  ASSERT_EQ(std::distance(fs::directory_iterator(cache), fs::directory_iterator()), 1);
+  const fs::path entry = fs::directory_iterator(cache)->path();
+  const uintmax_t full_bytes = fs::file_size(entry);
+
+  // Cut the entry mid-way through its edge array: the header still claims
+  // the full graph, so a reader that trusted it would size vectors for
+  // data that is not there.
+  fs::resize_file(entry, full_bytes / 2);
+  std::string error;
+  EXPECT_FALSE(TryReadGaloisGr(entry.string(), &error).has_value());
+  EXPECT_NE(error.find("header implies"), std::string::npos) << error;
+
+  const Csr rebuilt = BuildDatasetCached("slashdot", cache.string(), 0.05);
+  EXPECT_TRUE(std::ranges::equal(rebuilt.RowOffsets(), built.RowOffsets()));
+  EXPECT_TRUE(std::ranges::equal(rebuilt.ColIndices(), built.ColIndices()));
+  EXPECT_TRUE(std::ranges::equal(rebuilt.Weights(), built.Weights()));
+  // The rebuild rewrote the entry whole.
+  EXPECT_EQ(fs::file_size(entry), full_bytes);
+  EXPECT_TRUE(TryReadGaloisGr(entry.string()).has_value());
+
+  // A header shorter than its own four words is a miss too.
+  fs::resize_file(entry, 12);
+  EXPECT_FALSE(TryReadGaloisGr(entry.string()).has_value());
+  EXPECT_TRUE(std::ranges::equal(
+      BuildDatasetCached("slashdot", cache.string(), 0.05).ColIndices(), built.ColIndices()));
+  fs::remove_all(cache);
 }
 
 }  // namespace

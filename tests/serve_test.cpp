@@ -14,6 +14,7 @@
 #include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 #include "serve/trace.hpp"
+#include "sim/stream.hpp"
 
 namespace eta::serve {
 namespace {
@@ -648,7 +649,9 @@ TEST(ExecuteBatch, WaveSplitsPastAttributionCap) {
     r.source = static_cast<graph::VertexId>((i * 13) % csr.NumVertices());
     batch.requests.push_back(r);
   }
-  BatchOutcome out = ExecuteBatch(session, batch, /*start_ms=*/1.0);
+  sim::StreamScheduler streams;
+  const BatchStreamContext ctx{&streams, streams.CreateStream("dispatch")};
+  BatchOutcome out = ExecuteBatch(session, batch, /*start_ms=*/1.0, ctx);
   ASSERT_FALSE(out.device_failed);
   ASSERT_TRUE(out.unserved.empty());
   ASSERT_EQ(out.results.size(), kRequests);
@@ -664,6 +667,58 @@ TEST(ExecuteBatch, WaveSplitsPastAttributionCap) {
   EXPECT_DOUBLE_EQ(out.results[0].start_ms, 1.0);
   EXPECT_DOUBLE_EQ(out.results[32].start_ms, out.results[0].finish_ms);
   EXPECT_DOUBLE_EQ(out.results[39].finish_ms, 1.0 + out.duration_ms);
+  // Each wave is one compute op on the dispatch stream.
+  ASSERT_EQ(streams.Ops().size(), 2u);
+  EXPECT_DOUBLE_EQ(streams.Ops()[1].start_ms, streams.Ops()[0].end_ms);
+}
+
+TEST(ExecuteBatch, DeviceLossOnFirstLaunchLeavesEveryRequestUnserved) {
+  // The failure path of the one wave loop, for both wave shapes: a folded
+  // BFS batch (two attributed waves) and an SSWP batch (one request per
+  // wave). The first launch loses the device, so nothing is answered, and
+  // every wave behind it surfaces as a cancelled op.
+  graph::Csr csr = RandomGraph(18);
+  core::EtaGraphOptions options;
+  options.faults.lost_at = 1;
+  struct Case {
+    core::Algo algo;
+    size_t requests;
+    size_t cancelled;
+    const char* label;
+  };
+  for (const Case& c : {Case{core::Algo::kBfs, 40, 1, "BFS-wave"},
+                        Case{core::Algo::kSswp, 3, 2, "SSWP"}}) {
+    SCOPED_TRACE(core::AlgoName(c.algo));
+    GraphSession session(csr, options);
+    ASSERT_TRUE(session.Healthy());
+    Batch batch;
+    batch.algo = c.algo;
+    for (uint64_t i = 0; i < c.requests; ++i) {
+      Request r;
+      r.id = i;
+      r.algo = c.algo;
+      r.source = static_cast<graph::VertexId>((i * 13) % csr.NumVertices());
+      batch.requests.push_back(r);
+    }
+    sim::StreamScheduler streams;
+    const BatchStreamContext ctx{&streams, streams.CreateStream("dispatch")};
+    const BatchOutcome out = ExecuteBatch(session, batch, /*start_ms=*/1.0, ctx);
+    EXPECT_TRUE(out.device_failed);
+    EXPECT_TRUE(out.faults.device_lost);
+    EXPECT_TRUE(out.results.empty());
+    ASSERT_EQ(out.unserved.size(), c.requests);
+    for (size_t i = 0; i < c.requests; ++i) EXPECT_EQ(out.unserved[i].id, i);
+    // One failed wave, then one cancelled op per wave that never ran.
+    const std::vector<sim::StreamOp>& ops = streams.Ops();
+    ASSERT_EQ(ops.size(), 1 + c.cancelled);
+    EXPECT_EQ(ops[0].status, sim::StreamOpStatus::kFailed);
+    for (size_t i = 1; i < ops.size(); ++i) {
+      EXPECT_EQ(ops[i].status, sim::StreamOpStatus::kCancelled);
+      EXPECT_EQ(ops[i].label, c.label);
+      EXPECT_DOUBLE_EQ(ops[i].DurationMs(), 0.0);
+    }
+    EXPECT_DOUBLE_EQ(out.duration_ms, ops[0].end_ms - 1.0);
+  }
 }
 
 TEST(ServeEngine, MaxBatchBeyondAttributionCapServesAndMatchesCapped) {

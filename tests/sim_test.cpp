@@ -173,13 +173,13 @@ TEST(CoalesceSectors, MatchesReferenceFirstOccurrenceOrder) {
       default: break;
     }
     uint64_t sectors[kWarpSize];
-    const uint32_t n = internal::CoalesceSectors(addrs, mask, 4, sectors);
+    const uint32_t n = internal::CoalesceSectors(addrs, mask, sectors);
     const std::vector<uint64_t> expected = ReferenceCoalesce(addrs, mask);
     ASSERT_EQ(std::vector<uint64_t>(sectors, sectors + n), expected)
         << "trial " << trial << " pattern " << pattern << " mask " << mask;
   }
   uint64_t sectors[kWarpSize];
-  EXPECT_EQ(internal::CoalesceSectors(LaneArray<uint64_t>{}, 0, 4, sectors), 0u);
+  EXPECT_EQ(internal::CoalesceSectors(LaneArray<uint64_t>{}, 0, sectors), 0u);
 }
 
 // --- DeviceMemory -------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/framework.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "serve/router.hpp"
@@ -397,6 +398,35 @@ TEST(EtaVerifyServe, GreenMatrixVerifiesCleanAcrossShardsAndFaults) {
       EXPECT_GT(report.verify.ops_checked, 0u);
     }
   }
+}
+
+TEST(EtaVerifyServe, PrestageOffFleetRecordsAndVerifiesItsDag) {
+  // Every dispatch runs on streams whether or not prestaging is armed, so
+  // a prestage-off fleet records a DAG too: cold staging copies, launch
+  // waves, cancelled waves after faults, rebuild retries on fresh streams,
+  // and re-stages after evictions under the residency budget.
+  const MultiGraphCase c = BuildMultiGraphCase();
+  serve::ShardedOptions options;
+  options.shards = 2;
+  options.base.queue_capacity = c.trace.size();
+  options.base.graph.verify_dag = true;
+  options.base.graph.faults.seed = 7;
+  options.base.graph.faults.ecc_uncorrectable_rate = 0.05;
+  options.base.graph.faults.device_loss_rate = 0.01;
+  // Room for one graph and a half: the 3-graph round robin keeps evicting.
+  options.device_mem_budget_bytes =
+      core::ResidentGraph::EstimateDeviceBytes(*c.graphs[0], options.base.graph) * 3 / 2;
+  const serve::ServeReport report = serve::ShardedEngine(options).ServeMany(c.graphs, c.trace);
+  EXPECT_GT(report.verify.ops_checked, 0u);
+  EXPECT_TRUE(report.verify.Clean()) << report.verify.Render(true);
+  uint64_t evictions = 0;
+  for (const serve::ShardStat& s : report.shard_stats) {
+    evictions += s.evictions;
+    EXPECT_EQ(s.prestages, 0u);
+    EXPECT_EQ(s.overlap_ms, 0.0);  // staging never overlaps compute without prestaging
+  }
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(report.faults.launch_failures, 0u);
 }
 
 TEST(EtaVerifyServe, VerificationDoesNotPerturbTheSchedule) {

@@ -49,24 +49,26 @@
 //                   --window (a fleet ignores it)               (default 0)
 //   --device-mem-budget  with --shards: per-shard resident-graph budget in
 //                   bytes, LRU-evicting past it; 0 = unlimited   (default 0)
-//   --async         with --shards: stream-based async dispatch (DESIGN.md
-//                   section 11) — staging runs on a copy stream overlapping
-//                   compute, dispatches pipeline as event DAGs. Answers are
-//                   bit-identical to the sync dispatcher; on a single-graph
-//                   replay the whole report is byte-identical
+//   --async         with --shards: prestaging (DESIGN.md section 11) —
+//                   while a shard computes, the next queued graph stages
+//                   on a copy stream overlapping it. Every replay runs its
+//                   dispatches as stream DAGs; this only adds prestaging
+//                   and its report columns. Answers are bit-identical
+//                   without it; on a single-graph replay the whole replay
+//                   file is byte-identical
 //   --catalog       serve N graphs instead of one: graphs 1..N-1 are
 //                   scaled-down variants of the primary --dataset and the
 //                   generated trace round-robins graph ids across them, so
 //                   staging/eviction/pre-staging actually exercise.
 //                   Requires --shards and --dataset                (default 1)
-//   --verify-dag    with --async: run etaverify (DESIGN.md section 12) over
+//   --verify-dag    run etaverify (DESIGN.md section 12) over
 //                   every shard's recorded stream DAG — static
 //                   happens-before checks for unordered conflicting
 //                   accesses, use-before-ready consumers, unbound waits,
 //                   wait cycles, and orphan streams. Exit 1 on any finding.
 //   --verify-json   also write the etaverify findings as JSON to this path
-//   --plant         with --verify-dag: surgically plant one ordering bug in
-//                   the async dispatcher (test gate for etaverify): one of
+//   --plant         with --verify-dag and --async: surgically plant one
+//                   ordering bug in prestaging (test gate for etaverify): one of
 //                   drop-ready-wait, swap-record-wait, double-prestage.
 //                   Answers stay bit-identical; the DAG carries the bug.
 //   --arrivals      replace the generated trace with a seeded open-loop
@@ -237,15 +239,13 @@ int main(int argc, char** argv) {
   if (!trace_json.empty() && !profile) {
     return Fail("--trace-json requires --profile");
   }
-  if (verify_dag && !async) {
-    return Fail("--verify-dag requires --async");
-  }
   if (!verify_json.empty() && !verify_dag) {
     return Fail("--verify-json requires --verify-dag");
   }
   serve::ShardedOptions::DagPlant plant = serve::ShardedOptions::DagPlant::kNone;
   if (!plant_name.empty()) {
     if (!verify_dag) return Fail("--plant requires --verify-dag");
+    if (!async) return Fail("--plant requires --async");
     if (plant_name == "drop-ready-wait") {
       plant = serve::ShardedOptions::DagPlant::kDropReadyWait;
     } else if (plant_name == "swap-record-wait") {
